@@ -40,6 +40,8 @@ import time
 
 from repro.api import ParallelExecutor, ReplayRequest, replay, replay_many
 from repro.dynamic import POLICY_ORDER, make_trace
+from repro.simulator import FLOW_KERNELS
+from repro.telemetry import get_registry
 
 from conftest import SEED, write_artefact
 
@@ -68,16 +70,29 @@ def _requests() -> list[ReplayRequest]:
     ]
 
 
+def _sim_runs_by_kernel() -> dict[str, float]:
+    """The engine's own per-kernel run counter (the production
+    ``repro_sim_runs_total`` metric), read through the registry."""
+    runs = get_registry().get("repro_sim_runs_total")
+    return {k: runs.labels(kernel=k).value for k in FLOW_KERNELS}
+
+
 def regenerate():
     # -- serial leg: one timed replay per (trace, policy) ---------------
     serial_results = []
     serial_walls = []
+    runs_before = _sim_runs_by_kernel()
     serial_start = time.perf_counter()
     for request in _requests():
         start = time.perf_counter()
         serial_results.append(replay(request))
         serial_walls.append(time.perf_counter() - start)
     serial_s = time.perf_counter() - serial_start
+    runs_after = _sim_runs_by_kernel()
+    # provenance from what ran: the kernels whose run count moved
+    sim_kernels = [
+        k for k in FLOW_KERNELS if runs_after[k] > runs_before[k]
+    ]
 
     # -- parallel leg: same batch through the process pool --------------
     parallel_start = time.perf_counter()
@@ -115,11 +130,11 @@ def regenerate():
         "speedup": round(serial_s / parallel_s, 4) if parallel_s else None,
         "bit_identical": identical,
     }
-    return data, parallel_record
+    return data, parallel_record, sim_kernels
 
 
 def test_dynamic_reallocation(benchmark, artefact_dir):
-    data, parallel_record = benchmark.pedantic(
+    data, parallel_record, sim_kernels = benchmark.pedantic(
         regenerate, rounds=1, iterations=1
     )
 
@@ -153,9 +168,10 @@ def test_dynamic_reallocation(benchmark, artefact_dir):
                 # interpretable if the artifact says what ran where
                 "cpu_count": os.cpu_count(),
                 "backend": "serial+process-pool",
-                #: validation runs on the incremental max-min kernel;
+                #: the max-min kernel the validated replays ran on (as
+                #: counted by the simulator's own run metric);
                 #: bench_simulator.py races it against the naive oracle.
-                "sim_kernel": "incremental",
+                "sim_kernel": "+".join(sim_kernels),
                 "sim_warmup": True,
                 "traces": data,
                 "parallel_execution": parallel_record,

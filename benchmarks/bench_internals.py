@@ -16,10 +16,11 @@ import repro
 from repro.core.loads import LoadTracker
 from repro.platform.catalog import dell_catalog
 from repro.simulator.flows import (
-    VECTORIZE_MIN_FLOWS,
     CapacityConstraint,
     FlowNetwork,
     FlowSpec,
+    _progressive_fill,
+    _progressive_fill_vectorized,
     max_min_rates,
 )
 
@@ -108,83 +109,65 @@ def test_max_min_rates_scaling(benchmark):
 # binding shared constraint — the many-round regime where progressive
 # filling freezes a few flows per round and the python loop's per-round
 # member rescans turn quadratic.  This is the shape the vectorized
-# kernel exists for (on few-round fills the O(edges) setup dominates
-# and the python loop is the right choice — hence the engine's
-# ``VECTORIZE_MIN_FLOWS`` gate).  The two tests are adjacent rows in
-# the benchmark table; the vectorized one asserts bit-identity against
-# the python loop, so the speed win can never drift from the
-# correctness contract.
+# fill exists for (on few-round fills the O(edges) setup dominates and
+# the python loop is the right choice — hence the network's per-fill
+# chooser).  Both rows time the raw fills directly (a FlowNetwork
+# would serve repeat fills from its structure memo); the vectorized
+# one asserts bit-identity against the python loop, so the speed win
+# can never drift from the correctness contract.
 
 _FILL_FLOWS = 1536
 
 
-def _fill_network(vectorized: bool) -> FlowNetwork:
-    net = FlowNetwork(vectorized=vectorized, vector_min_flows=1)
+def _fill_case():
     caps = [1.0 + 0.001 * i for i in range(_FILL_FLOWS)]
-    net.add_constraint("nic", 0.6 * sum(caps))
-    for j in range(8):
-        net.add_constraint(("l", j), 1e9)
-    net.add_flows(
-        [(("f", i), ("nic", ("l", i % 8)), caps[i])
-         for i in range(_FILL_FLOWS)]
-    )
-    return net
+    flows = [
+        (("f", i), ("nic", ("l", i % 8)), caps[i])
+        for i in range(_FILL_FLOWS)
+    ]
+    cap_left = {"nic": 0.6 * sum(caps)}
+    cap_left.update({("l", j): 1e9 for j in range(8)})
+    return flows, cap_left
 
 
 def test_progressive_fill_python_loop(benchmark):
     """Reference python fill, many-round 1536-flow component."""
-    net = _fill_network(False)
-    rates = benchmark(net.recompute_all)
-    assert len(net.rates) == _FILL_FLOWS
+    flows, cap_left = _fill_case()
+    rates = benchmark(
+        lambda: _progressive_fill(flows, dict(cap_left), 1e-12)
+    )
+    assert len(rates) == _FILL_FLOWS
 
 
 def test_progressive_fill_vectorized(benchmark):
-    """Same fill through the numpy kernel — and bit-identical."""
-    net = _fill_network(True)
-    benchmark(net.recompute_all)
-    assert dict(net.rates) == dict(_fill_network(False).rates)
+    """Same fill through the numpy formulation — and bit-identical."""
+    flows, cap_left = _fill_case()
+    rates = benchmark(
+        lambda: _progressive_fill_vectorized(flows, dict(cap_left), 1e-12)
+    )
+    assert rates == _progressive_fill(flows, dict(cap_left), 1e-12)
 
 
-# -- per-fill kernel chooser: no regression around the old gate -------
+# -- per-fill chooser -------------------------------------------------
 #
-# The default chooser estimates the python loop's work per fill instead
-# of applying the flat ``VECTORIZE_MIN_FLOWS`` size gate.  These two
-# rows pin its behaviour on either side of the old 48-flow threshold:
-# a 40-flow staircase (below the old gate) and a 64-flow staircase
-# (above it).  The chooser must not lose to the old gate's choice on
-# either — below the threshold both pick the python loop, above it the
-# staircase's round count drives the numpy kernel exactly as the size
-# gate used to.
+# The network picks python or numpy per fill from the estimated python
+# work (rounds × rows).  These rows time that decision alone on a
+# 40-flow staircase (few enough rounds that the python loop wins) and
+# a 64-flow staircase (enough rounds for the numpy set-up to pay off),
+# and pin which fill each one gets.
 
 
-def _staircase_network(n_flows: int, *, heuristic: bool) -> FlowNetwork:
-    net = FlowNetwork(
-        vectorized=True,
-        vector_min_flows=None if heuristic else VECTORIZE_MIN_FLOWS,
-    )
-    caps = [1.0 + 0.01 * i for i in range(n_flows)]
-    net.add_constraint("nic", 0.6 * sum(caps))
-    net.add_flows(
-        [(("f", i), ("nic",), caps[i]) for i in range(n_flows)]
-    )
-    return net
+def _staircase(n_flows: int) -> list:
+    return [(("f", i), ("nic",), 1.0 + 0.01 * i) for i in range(n_flows)]
 
 
-def test_kernel_chooser_below_old_threshold(benchmark):
-    """40-flow fill, default chooser — must match the old gate's
-    python-loop choice (no numpy set-up on small components)."""
-    net = _staircase_network(40, heuristic=True)
-    benchmark(net.recompute_all)
-    reference = _staircase_network(40, heuristic=False)
-    reference.recompute_all()
-    assert dict(net.rates) == dict(reference.rates)
+def test_kernel_chooser_small_staircase(benchmark):
+    """40-flow staircase: the chooser keeps the python loop."""
+    triples = _staircase(40)
+    assert not benchmark(FlowNetwork()._use_vector_kernel, triples, 1)
 
 
-def test_kernel_chooser_above_old_threshold(benchmark):
-    """64-flow many-round fill, default chooser — must keep the numpy
-    kernel the old gate would have picked."""
-    net = _staircase_network(64, heuristic=True)
-    benchmark(net.recompute_all)
-    reference = _staircase_network(64, heuristic=False)
-    reference.recompute_all()
-    assert dict(net.rates) == dict(reference.rates)
+def test_kernel_chooser_large_staircase(benchmark):
+    """64-flow many-round staircase: the chooser picks numpy."""
+    triples = _staircase(64)
+    assert benchmark(FlowNetwork()._use_vector_kernel, triples, 1)

@@ -6,19 +6,18 @@ Two jobs:
 1. **Agreement** (unchanged from the seed): the analytic maximum
    throughput (Eq. 1–5 inverted) must match what the discrete-event
    simulator measures on pipeline-produced allocations.
-2. **Kernel race**: every accelerated max-min kernel — ``incremental``
+2. **Kernel race**: the production ``warm`` max-min kernel
    (persistent :class:`~repro.simulator.flows.FlowNetwork`,
-   component-scoped refills, reserved-policy fast path),
-   ``vectorized`` (numpy progressive filling for large components),
-   and ``warm`` (vectorized + structure-memoised refills) — against
-   the ``naive`` reference oracle that rebuilds the flow table and
-   globally recomputes rates on every flow event.  All kernels must be
+   component-scoped refills, reserved-policy fast path, per-fill
+   numpy choice, structure-memoised refills) against the ``naive``
+   reference oracle that rebuilds the flow table and recomputes rates
+   from scratch on every flow event.  The two must be
    **bit-identical** — asserted on the full
-   :class:`~repro.dynamic.replay.ReplayResult` JSON — and the
-   headline claim compounds three attacks: the warm kernel plus
+   :class:`~repro.dynamic.replay.ReplayResult` JSON — and the warm
+   kernel must cut ≥3× off the naive serial wall time of the
+   simulator-validated churn policy loop.  The headline claim adds
    *campaign pipelining* (the churn trace×policy replays interleaved
-   through a process pool) must cut ≥20× off the naive serial wall
-   time of the simulator-validated churn policy loop.
+   through a process pool): ≥20× off the naive serial wall time.
 
 Besides the usual text artefact this bench writes a machine-readable
 ``BENCH_sim.json`` at the repository root (events/sec per kernel with
@@ -37,8 +36,10 @@ Run directly for the CI smoke check::
     python benchmarks/bench_simulator.py --quick
 
 which races one policy, asserts bit-identical kernels (including the
-pipelined campaign against the serial order), and (on ≥4-core
-machines, like the other timing gates) asserts the speedups.
+pipelined campaign against the serial order) and the ≥3× serial
+warm-vs-naive ratio on every machine (a same-process ratio, so the
+core count does not change what it measures), and asserts the
+pipelined speedup on ≥4-core machines only.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 RACE_TRACE = "churn"
 #: Secondary validated traces: wall time per trace, harvest policy.
 EXTRA_TRACES = ("ramp", "multi-app")
-#: Required wall-time reduction of the incremental kernel alone on the
-#: serial simulator-validated churn policy loop (the PR 3 claim).
+#: Required wall-time reduction of the warm kernel over the naive
+#: oracle on the serial simulator-validated churn policy loop.
 MIN_SPEEDUP = 3.0
 #: Required wall-time reduction of the full stack — warm kernel +
 #: pipelined campaign — over the naive serial churn policy loop, on
@@ -111,8 +112,8 @@ def _timed_replay(trace_name: str, policy: str, kernel: str):
 def _event_rates(alloc) -> dict:
     """Raw engine throughput: dispatched events per second per kernel,
     under both flow policies (reserved hits the O(1) fast path,
-    elastic exercises component-scoped filling; warm/vectorized split
-    out the numpy and memoisation wins)."""
+    elastic exercises component-scoped filling, numpy and the
+    structure memo)."""
     out: dict[str, dict] = {}
     for flow_policy in ("reserved", "elastic"):
         per_kernel = {}
@@ -135,42 +136,32 @@ def _event_rates(alloc) -> dict:
                 row["warm_hits"] = res.warm_hits
                 row["warm_fallbacks"] = res.warm_fallbacks
             per_kernel[kernel] = row
-        for kernel in FLOW_KERNELS[:-1]:
-            assert results[kernel] == results["naive"], (
-                f"{kernel} kernel divergence in {flow_policy}"
-                f" event-rate run"
-            )
+        assert results["warm"] == results["naive"], (
+            f"warm kernel divergence in {flow_policy} event-rate run"
+        )
         out[flow_policy] = per_kernel
     return out
 
 
 def _kernel_race(policies, traces) -> dict:
-    """Race warm/incremental vs naive on validated replays; assert
-    bit-identical results throughout."""
+    """Race warm vs naive on validated replays; assert bit-identical
+    results throughout."""
     race: dict[str, dict] = {}
     for trace_name, policy in (
         [(RACE_TRACE, p) for p in policies]
         + [(t, "harvest") for t in traces]
     ):
         r_warm, t_warm = _timed_replay(trace_name, policy, "warm")
-        r_inc, t_inc = _timed_replay(trace_name, policy, "incremental")
         r_naive, t_naive = _timed_replay(trace_name, policy, "naive")
-        oracle = r_naive.to_json()
-        identical = (
-            r_warm.to_json() == oracle and r_inc.to_json() == oracle
-        )
+        identical = r_warm.to_json() == r_naive.to_json()
         assert identical, (
-            f"an accelerated kernel diverged from the reference oracle"
+            f"the warm kernel diverged from the reference oracle"
             f" on {trace_name}/{policy}"
         )
         race[f"{trace_name}/{policy}"] = {
             "warm_wall_s": round(t_warm, 4),
-            "incremental_wall_s": round(t_inc, 4),
             "naive_wall_s": round(t_naive, 4),
             "speedup": round(t_naive / t_warm, 4) if t_warm else None,
-            "incremental_speedup": (
-                round(t_naive / t_inc, 4) if t_inc else None
-            ),
             "bit_identical": identical,
             "n_epochs": r_warm.n_epochs,
             "sim_violation_epochs": r_warm.sim_violation_epochs,
@@ -272,18 +263,11 @@ def regenerate():
         "churn_warm_wall_s": round(
             sum(r["warm_wall_s"] for r in churn_rows), 4
         ),
-        "churn_incremental_wall_s": round(
-            sum(r["incremental_wall_s"] for r in churn_rows), 4
-        ),
         "churn_naive_wall_s": round(
             sum(r["naive_wall_s"] for r in churn_rows), 4
         ),
         "churn_pipelined_wall_s": pipelined["wall_s"],
     }
-    summary["churn_speedup"] = round(
-        summary["churn_naive_wall_s"] / summary["churn_incremental_wall_s"],
-        4,
-    )
     summary["churn_warm_speedup"] = round(
         summary["churn_naive_wall_s"] / summary["churn_warm_wall_s"], 4
     )
@@ -307,7 +291,7 @@ def regenerate():
     }
 
 
-def test_incremental_kernel(benchmark, artefact_dir):
+def test_kernel_race(benchmark, artefact_dir):
     data = benchmark.pedantic(regenerate, rounds=1, iterations=1)
 
     lines = ["engine event rates (events/sec):"]
@@ -320,20 +304,18 @@ def test_incremental_kernel(benchmark, artefact_dir):
                     f" cold {row['warm_fallbacks']}]"
                 )
             lines.append(
-                f"  {flow_policy:>8} {kernel:>11}:"
+                f"  {flow_policy:>8} {kernel:>5}:"
                 f" {row['events_per_s']:>9,} ev/s"
                 f" ({row['n_events']} events, {row['wall_s']:.3f}s)"
                 + extra
             )
     lines.append("simulator-validated replays (bit-identical kernels):")
     lines.append(
-        f"  {'trace/policy':<18} {'warm':>9} {'incr':>9} {'naive':>9}"
-        f" {'speedup':>8}"
+        f"  {'trace/policy':<18} {'warm':>9} {'naive':>9} {'speedup':>8}"
     )
     for key, row in data["validated_replays"].items():
         lines.append(
             f"  {key:<18} {row['warm_wall_s']:>8.3f}s"
-            f" {row['incremental_wall_s']:>8.3f}s"
             f" {row['naive_wall_s']:>8.3f}s {row['speedup']:>7.2f}x"
         )
     s = data["summary"]
@@ -361,7 +343,8 @@ def test_incremental_kernel(benchmark, artefact_dir):
 
     # -- the headline claims -------------------------------------------
     # bit-identity is asserted inside regenerate(); the validated churn
-    # campaign must also stay clean and get ≥3× faster end to end.
+    # campaign must also stay clean and the warm kernel must run it ≥3×
+    # faster than the oracle.
     # Under the warm-up-aware window the ramp peaks' pipeline-fill
     # transients no longer count, so *every* validated replay is clean.
     for key, row in data["validated_replays"].items():
@@ -375,10 +358,10 @@ def test_incremental_kernel(benchmark, artefact_dir):
         f"telemetry costs {data['telemetry']['overhead_ratio']:.4f}x on"
         f" the warm churn replay (budget ≤{TELEMETRY_MAX_OVERHEAD}x)"
     )
-    assert data["summary"]["churn_speedup"] >= MIN_SPEEDUP, (
-        f"incremental kernel only"
-        f" {data['summary']['churn_speedup']:.2f}x faster on the"
-        f" validated churn loop (need ≥{MIN_SPEEDUP}x)"
+    assert data["summary"]["churn_warm_speedup"] >= MIN_SPEEDUP, (
+        f"warm kernel only"
+        f" {data['summary']['churn_warm_speedup']:.2f}x faster than naive"
+        f" on the validated churn loop (need ≥{MIN_SPEEDUP}x)"
     )
     if (os.cpu_count() or 1) >= 4:
         assert (
@@ -417,9 +400,9 @@ def test_simulator_throughput_agreement(benchmark, artefact_dir):
 def main(quick: bool) -> int:
     """Script entry point: ``--quick`` is the CI smoke mode —
     correctness always asserted (warm == oracle bit-for-bit, pipelined
-    == serial byte-for-byte), the timing claims only on machines with
-    enough cores to time reliably (matching the parallel campaign
-    gates)."""
+    == serial byte-for-byte), and so is the same-process warm/naive
+    ratio; the pipelined speedup only on machines with enough cores for
+    a process pool to mean anything."""
     if quick:
         r_warm, t_warm = _timed_replay(RACE_TRACE, "harvest", "warm")
         r_naive, t_naive = _timed_replay(RACE_TRACE, "harvest", "naive")
@@ -445,9 +428,12 @@ def main(quick: bool) -> int:
                 f" exceeds {TELEMETRY_MAX_OVERHEAD}x budget"
             )
             return 1
+        if speedup < MIN_SPEEDUP:
+            print(f"FAIL: warm/naive speedup below {MIN_SPEEDUP}x")
+            return 1
         cores = os.cpu_count() or 1
         if cores < 4:
-            # the timing claims are uninterpretable on tiny machines;
+            # a process pool cannot speed anything up on tiny machines;
             # still prove the pipelined path returns the serial bytes
             pipelined = _pipelined_campaign(
                 ("static", "harvest"),
@@ -461,9 +447,6 @@ def main(quick: bool) -> int:
                 f" bit-identical to serial"
             )
             return 0
-        if speedup < MIN_SPEEDUP:
-            print(f"FAIL: speedup below {MIN_SPEEDUP}x on {cores} cores")
-            return 1
         # the headline: full churn policy loop, naive serial vs warm
         # kernel pipelined across the pool
         naive_wall = t_naive

@@ -14,11 +14,12 @@ Two jobs:
 2. **Transition kernel race** (the ROADMAP's elastic-flow validation
    item): the churn/resolve replay with per-step transition simulation
    (drain + state-transfer flows batched into the elastic flow
-   network) runs on the incremental kernel and the naive reference
-   oracle.  The two must be **bit-identical** on the full ReplayResult
-   JSON — transition records included — and the incremental kernel
-   must be measurably faster (asserted ≥1.5× on ≥4-core machines,
-   like every other timing gate).  The race also demonstrates the
+   network) runs on the production ``warm`` kernel and the naive
+   reference oracle.  The two must be **bit-identical** on the full
+   ReplayResult JSON — transition records included — and the warm
+   kernel must be measurably faster (asserted ≥1.5× on every machine:
+   both runs share one process, so the ratio does not depend on the
+   core count).  The race also demonstrates the
    headline: at least one reallocation that steady-state validation
    scores *clean* shows a nonzero mid-transition throughput dip.
 
@@ -31,7 +32,7 @@ Run directly for the CI smoke check::
     python benchmarks/bench_transition.py --quick
 
 which races one transition-simulated replay (divergence always fatal),
-checks the dip exists, and gates the speed assertion on ≥4 cores.
+checks the dip exists, and asserts the warm/naive ratio.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ SWEEP_SCALES = (0.25, 1.0, 4.0, 16.0, 64.0)
 #: every epoch is a real reallocation with state on the move.
 RACE_TRACE = "churn"
 RACE_POLICY = "resolve"
-#: Required wall-time reduction of the incremental kernel on the
-#: validated + transition-simulated replay (gated on ≥4 cores).
+#: Required wall-time reduction of the warm kernel over the naive
+#: oracle on the validated + transition-simulated replay.
 MIN_SPEEDUP = 1.5
 
 
@@ -126,14 +127,14 @@ def regenerate():
     }
 
     # -- transition kernel race -----------------------------------------
-    r_inc, t_inc = _timed_race("incremental")
+    r_warm, t_warm = _timed_race("warm")
     r_naive, t_naive = _timed_race("naive")
-    identical = r_inc.to_json() == r_naive.to_json()
+    identical = r_warm.to_json() == r_naive.to_json()
     assert identical, (
-        "transition-simulated replay diverged between the incremental"
-        " kernel and the naive oracle"
+        "transition-simulated replay diverged between the warm kernel"
+        " and the naive oracle"
     )
-    transitions = _transition_rows(r_inc)
+    transitions = _transition_rows(r_warm)
     clean_dips = [
         row for row in transitions
         if row["throughput_dip"] > 0 and row["steady_state_ok"]
@@ -141,9 +142,9 @@ def regenerate():
     race = {
         "trace": RACE_TRACE,
         "policy": RACE_POLICY,
-        "incremental_wall_s": round(t_inc, 4),
+        "warm_wall_s": round(t_warm, 4),
         "naive_wall_s": round(t_naive, 4),
-        "speedup": round(t_naive / t_inc, 4) if t_inc else None,
+        "speedup": round(t_naive / t_warm, 4) if t_warm else None,
         "bit_identical": identical,
         "n_transitions": len(transitions),
         "n_clean_epoch_dips": len(clean_dips),
@@ -157,8 +158,7 @@ def regenerate():
     }
     return {
         "seed": SEED,
-        # the ≥4-core-gated speed assertion is only interpretable if
-        # the artifact says what ran where; the race is single-process
+        # provenance: the race is single-process on this many cores
         "cpu_count": os.cpu_count(),
         "backend": "serial",
         "sweep": {
@@ -210,7 +210,7 @@ def test_transition_engine(benchmark, artefact_dir):
         f" validated + simulated transitions):"
     )
     lines.append(
-        f"  incremental {race['incremental_wall_s']:.2f}s, naive"
+        f"  warm {race['warm_wall_s']:.2f}s, naive"
         f" {race['naive_wall_s']:.2f}s, speedup {race['speedup']:.2f}x,"
         f" bit-identical {race['bit_identical']}"
     )
@@ -230,33 +230,30 @@ def test_transition_engine(benchmark, artefact_dir):
     )
 
     _assert_claims(data)
-    cores = data["cpu_count"] or 1
-    if cores >= 4:
-        assert race["speedup"] >= MIN_SPEEDUP, (
-            f"incremental kernel only {race['speedup']:.2f}x faster on"
-            f" the transition race ({cores} cores, need"
-            f" ≥{MIN_SPEEDUP}x)"
-        )
+    assert race["speedup"] >= MIN_SPEEDUP, (
+        f"warm kernel only {race['speedup']:.2f}x faster than naive on"
+        f" the transition race (need ≥{MIN_SPEEDUP}x)"
+    )
     benchmark.extra_info["data"] = payload
 
 
 def main(quick: bool) -> int:
     """Script entry point: ``--quick`` is the CI smoke — the kernel
-    race plus the clean-epoch-dip check, divergence always fatal, the
-    timing claim only on ≥4-core machines."""
+    race plus the clean-epoch-dip check, divergence always fatal, and
+    the same-process warm/naive ratio."""
     if quick:
-        r_inc, t_inc = _timed_race("incremental")
+        r_warm, t_warm = _timed_race("warm")
         r_naive, t_naive = _timed_race("naive")
-        identical = r_inc.to_json() == r_naive.to_json()
-        speedup = t_naive / t_inc if t_inc else float("inf")
-        transitions = _transition_rows(r_inc)
+        identical = r_warm.to_json() == r_naive.to_json()
+        speedup = t_naive / t_warm if t_warm else float("inf")
+        transitions = _transition_rows(r_warm)
         clean_dips = [
             row for row in transitions
             if row["throughput_dip"] > 0 and row["steady_state_ok"]
         ]
         print(
-            f"{RACE_TRACE}/{RACE_POLICY} transition replay: incremental"
-            f" {t_inc:.3f}s, naive {t_naive:.3f}s, speedup"
+            f"{RACE_TRACE}/{RACE_POLICY} transition replay: warm"
+            f" {t_warm:.3f}s, naive {t_naive:.3f}s, speedup"
             f" {speedup:.2f}x, bit-identical {identical},"
             f" {len(transitions)} transitions,"
             f" {len(clean_dips)} clean-epoch dip(s)"
@@ -267,9 +264,8 @@ def main(quick: bool) -> int:
         if not clean_dips:
             print("FAIL: no transition dip on a steady-state-clean epoch")
             return 1
-        cores = os.cpu_count() or 1
-        if cores >= 4 and speedup < MIN_SPEEDUP:
-            print(f"FAIL: speedup below {MIN_SPEEDUP}x on {cores} cores")
+        if speedup < MIN_SPEEDUP:
+            print(f"FAIL: warm/naive speedup below {MIN_SPEEDUP}x")
             return 1
         return 0
     data = regenerate()

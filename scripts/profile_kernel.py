@@ -3,7 +3,7 @@
 
 The optimisation workflow behind the flow-kernel PRs: run the
 simulator-validated churn replay (the campaign that motivated the
-incremental/vectorized/warm kernels) under cProfile and print the
+warm kernel) under cProfile and print the
 top-20 functions by cumulative time, so kernel work is attacked where
 the profile says the time goes, not where it feels like it goes.
 
@@ -11,7 +11,7 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_kernel.py
     PYTHONPATH=src python scripts/profile_kernel.py \
-        --kernel incremental --policy resolve --json profile.json
+        --kernel naive --policy resolve --json profile.json
 
 ``--json`` writes the rows as machine-readable JSON (one object per
 function: file, line, name, ncalls, tottime, cumtime) next to the
@@ -81,8 +81,7 @@ def profile_rows(kernel: str, policy: str, trace: str, seed: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kernel", default="warm",
-                        choices=("warm", "vectorized", "incremental",
-                                 "naive"))
+                        choices=("warm", "naive"))
     parser.add_argument("--policy", default="harvest")
     parser.add_argument("--trace", default="churn")
     parser.add_argument("--seed", type=int, default=2009)

@@ -39,8 +39,12 @@ the serial run)::
              for s in range(32)]
     results = solve_many(batch, executor=4)   # --jobs 4 on the CLI
 
-The legacy free functions (``repro.allocate``, ``repro.allocate_best``,
-``repro.dynamic.replay``) still work and forward to the API unchanged.
+Portfolios (``SolveRequest(portfolio=…)``) and dynamic replays
+(:func:`repro.api.replay` over a :class:`~repro.api.ReplayRequest`)
+go through the same front door; the engines behind it
+(:func:`repro.core.pipeline.allocate` and the replay driver in
+:mod:`repro.dynamic.replay`) stay importable for callers that need
+heuristic objects or live generators.
 """
 
 from __future__ import annotations
@@ -84,8 +88,6 @@ __all__ = [
     "ServerFarm",
     "ServerSelectionError",
     "all_heuristics",
-    "allocate",
-    "allocate_best",
     "api",
     "dell_catalog",
     "make_heuristic",
@@ -123,71 +125,3 @@ def quick_instance(
         name=f"quick(n={n_operators}, alpha={alpha}, seed={seed})",
     )
 
-
-def allocate(
-    instance: ProblemInstance,
-    heuristic,
-    *,
-    server_strategy=None,
-    downgrade: bool = True,
-    refine: bool | str = False,
-    rng=None,
-) -> AllocationResult:
-    """Deprecated one-shot entry point; forwards to :func:`repro.api.solve`.
-
-    Same signature, return type, and exceptions as the original free
-    function (one ``DeprecationWarning`` per process).  New code
-    should build a :class:`repro.api.SolveRequest`.
-    """
-    from ._deprecation import warn_once
-
-    warn_once("repro.allocate()", "repro.api.solve(SolveRequest)")
-    typed = (
-        isinstance(heuristic, str)
-        and server_strategy is None
-        and (rng is None or isinstance(rng, int))
-    )
-    if typed:
-        from .api import SolveRequest, solve
-
-        sr = solve(
-            SolveRequest(
-                instance=instance, strategy=heuristic,
-                downgrade=downgrade, refine=refine, seed=rng,
-            )
-        )
-        sr.raise_for_failure()
-        return sr.result
-    # heuristic/server objects and live generators cannot be expressed
-    # as service data; run the engine the request path wraps
-    from .core.pipeline import allocate as _engine
-
-    return _engine(
-        instance, heuristic, server_strategy=server_strategy,
-        downgrade=downgrade, refine=refine, rng=rng,
-    )
-
-
-def allocate_best(
-    instance: ProblemInstance,
-    heuristics=None,
-    *,
-    downgrade: bool = True,
-    refine: bool | str = False,
-    rng=None,
-    executor=None,
-) -> AllocationResult:
-    """Deprecated portfolio entry point; forwards to
-    :func:`repro.api.solve` with ``portfolio=`` (via
-    :func:`repro.core.pipeline.allocate_best`).  Pass ``executor=`` to
-    fan portfolio members out over worker processes."""
-    from ._deprecation import warn_once
-    from .core.pipeline import allocate_best as _best
-
-    warn_once(
-        "repro.allocate_best()", "repro.api.solve(SolveRequest(portfolio=…))"
-    )
-    return _best(
-        instance, heuristics, downgrade=downgrade, refine=refine,
-        rng=rng, executor=executor,
-    )

@@ -8,9 +8,9 @@ Three layers:
   plain picklable data with provenance on the way out.
 * **One strategy registry** (:mod:`repro.api.registry`) — namespaced
   lookup (``placement:`` / ``server:`` / ``policy:`` / ``refine:``)
-  with a :func:`register` decorator, subsuming the legacy heuristic
-  factories, the dynamic policy registry, and the hard-coded
-  placement→server pairing.
+  with a :func:`register` decorator, covering the placement
+  heuristics, the dynamic policies, and the placement→server
+  pairing.
 * **Pluggable execution** (:mod:`repro.api.executors`) —
   :class:`SerialExecutor` / :class:`ParallelExecutor` behind the
   :class:`Executor` protocol, with per-task seed derivation so results

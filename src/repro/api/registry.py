@@ -1,12 +1,11 @@
 """Unified, namespaced strategy registry — the library's one lookup.
 
-Historically the repo grew three ad-hoc registries: the placement
-heuristic factories (:data:`repro.core.heuristics.registry.
-HEURISTIC_FACTORIES`), the dynamic policy factories
-(:data:`repro.dynamic.policies.POLICY_FACTORIES`), and the hard-coded
-placement→server-selection pairing
-(:func:`repro.core.pipeline.default_server_selection`).  This module
-subsumes all three behind one namespaced lookup::
+Every strategy kind — the six §4.1 placement heuristics, the two
+server selections and their §4.2 pairing with placements
+(:func:`repro.core.pipeline.default_server_selection`), the dynamic
+policies (:data:`repro.dynamic.policies.POLICY_FACTORIES`), and the
+refinement, migration and pricing strategies — resolves through one
+namespaced lookup::
 
     make("placement", "subtree-bottom-up")   # a PlacementHeuristic
     make("server", "three-loop")             # a ServerSelection
@@ -117,36 +116,44 @@ def _check_namespace(namespace: str) -> None:
 
 
 def _bootstrap() -> None:
-    """Register the built-in strategies of all four namespaces."""
+    """Register the built-in strategies of every namespace."""
     global _bootstrapped
     if _bootstrapped:
         return
     with _bootstrap_lock:
         if _bootstrapped:
             return
-        from ..core.heuristics.local_search import refine_placement
-        from ..core.heuristics.registry import (
-            HEURISTIC_FACTORIES,
-            HEURISTIC_ORDER,
+        from ..core.heuristics import (
+            CommGreedyPlacement,
+            CompGreedyPlacement,
+            ObjectAvailabilityPlacement,
+            ObjectGroupingPlacement,
+            RandomPlacement,
+            SubtreeBottomUpPlacement,
+            refine_placement,
         )
         from ..core.server_selection import (
             RandomServerSelection,
             ThreeLoopServerSelection,
         )
-        from ..dynamic.policies import POLICY_FACTORIES, POLICY_ORDER
+        from ..dynamic.policies import POLICY_FACTORIES
 
-        for name in HEURISTIC_ORDER:
-            _REGISTRY["placement"].setdefault(name, HEURISTIC_FACTORIES[name])
-        for name, factory in HEURISTIC_FACTORIES.items():
-            _REGISTRY["placement"].setdefault(name, factory)
+        # the paper's figure-legend order (HEURISTIC_ORDER)
+        for factory in (
+            RandomPlacement,
+            CompGreedyPlacement,
+            CommGreedyPlacement,
+            SubtreeBottomUpPlacement,
+            ObjectGroupingPlacement,
+            ObjectAvailabilityPlacement,
+        ):
+            _REGISTRY["placement"].setdefault(factory.name, factory)
         _REGISTRY["server"].setdefault(
             RandomServerSelection.name, RandomServerSelection
         )
         _REGISTRY["server"].setdefault(
             ThreeLoopServerSelection.name, ThreeLoopServerSelection
         )
-        for name in POLICY_ORDER:
-            _REGISTRY["policy"].setdefault(name, POLICY_FACTORIES[name])
         for name, factory in POLICY_FACTORIES.items():
             _REGISTRY["policy"].setdefault(name, factory)
         _REGISTRY["refine"].setdefault(

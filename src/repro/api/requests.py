@@ -103,12 +103,12 @@ class FailureRecord:
     error_type: str  # exception class name from repro.errors
     message: str
     #: The engine exception's ``detail`` payload, when it survives
-    #: pickling (diagnostics the legacy API attached to the exception).
+    #: pickling (the verifier report an AllocationError carries).
     detail: object | None = None
 
     def to_exception(self) -> Exception:
-        """Rebuild a raisable exception (for the legacy shims, which
-        must raise where the old free functions raised)."""
+        """Rebuild the engine's raisable exception (used by
+        :meth:`SolveResult.raise_for_failure`)."""
         from .. import errors
 
         cls = getattr(errors, self.error_type, None)
@@ -248,7 +248,7 @@ class SolveResult:
         With a single failure the original exception type/message is
         rebuilt; a fully failed portfolio raises
         :class:`~repro.errors.PlacementError` with the per-member
-        breakdown, mirroring the legacy ``allocate_best``.
+        breakdown.
         """
         if self.ok:
             return
@@ -308,9 +308,8 @@ class ReplayRequest:
     migration_cost: float = DEFAULT_MIGRATION_COST
     salvage_fraction: float = DEFAULT_SALVAGE_FRACTION
     #: Max-min kernel for ``validate=True`` simulator runs: ``"warm"``
-    #: (default; vectorized + warm-started refills), ``"vectorized"``,
-    #: ``"incremental"``, or the ``"naive"`` reference oracle (all four
-    #: are bit-identical; the benchmarks race them).
+    #: (default; the production kernel) or the ``"naive"`` reference
+    #: oracle (bit-identical; the benchmarks race them).
     sim_kernel: str = "warm"
     #: Warm-up-aware validation: extend each validated epoch's run by
     #: the pipeline-fill transient and measure the achieved rate only
@@ -366,11 +365,10 @@ class ReplayRequest:
         # mirrors repro.simulator.engine.FLOW_KERNELS (cross-checked in
         # tests) — importing the simulator here would drag the whole
         # engine into every request construction, validated or not
-        if self.sim_kernel not in ("warm", "vectorized", "incremental",
-                                   "naive"):
+        if self.sim_kernel not in ("warm", "naive"):
             raise ValueError(
                 f"unknown sim_kernel {self.sim_kernel!r}; expected one"
-                f" of ('warm', 'vectorized', 'incremental', 'naive')"
+                f" of ('warm', 'naive')"
             )
 
     def resolve_trace(self) -> WorkloadTrace:

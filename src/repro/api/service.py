@@ -123,9 +123,7 @@ def _member_tasks(request: SolveRequest, seed: int) -> list[_MemberTask]:
 
     Single-strategy requests use ``seed`` directly; portfolio members
     get independent streams derived from it
-    (``derive_seed(seed, "portfolio", member)``).  The legacy
-    ``allocate_best`` folds its ``rng`` argument into exactly this
-    base seed, so the shim forwards bit-identically.
+    (``derive_seed(seed, "portfolio", member)``).
     """
     instance = request.resolve_instance()
     deadline = (
@@ -181,30 +179,15 @@ def _reduce_members(
     )
 
 
-def _solve_task(request: SolveRequest) -> SolveResult:
-    """Solve one request inline (the unit ``solve_many`` fans out)."""
-    with _span(
-        "api.solve", trace_id=request.trace_id,
-        strategies="|".join(request.strategies),
-    ) as sp:
-        start = time.perf_counter()
-        seed = _effective_seed(request)
-        outcomes = [_run_strategy(t) for t in _member_tasks(request, seed)]
-        result = _reduce_members(
-            request, outcomes,
-            elapsed_s=time.perf_counter() - start, backend="serial",
-            seed=seed,
-        )
-        sp.set("ok", result.ok).set("seed", seed)
-        return result
-
-
 def solve(
     request: SolveRequest,
     *,
     executor: "int | Executor | None" = None,
 ) -> SolveResult:
-    """Solve one request; portfolio members fan out over ``executor``."""
+    """Solve one request; portfolio members fan out over ``executor``.
+
+    Also the unit :func:`solve_many` fans out (one request per task,
+    each solved inline in its worker)."""
     executor = get_executor(executor)
     with _span(
         "api.solve", trace_id=request.trace_id,
@@ -233,7 +216,7 @@ def solve_many(
     never raises because one instance is infeasible.
     """
     executor = get_executor(executor)
-    results = executor.map(_solve_task, list(requests))
+    results = executor.map(solve, list(requests))
     if executor.name == "serial":
         return results
     return [
@@ -249,7 +232,9 @@ def solve_many(
 # replay
 # ----------------------------------------------------------------------
 
-def _replay_task(request: ReplayRequest) -> ReplayResult:
+def replay(request: ReplayRequest) -> ReplayResult:
+    """Replay one (trace, policy) pair — the typed front door to
+    :mod:`repro.dynamic`, and the unit :func:`replay_many` fans out."""
     with _span(
         "api.replay", trace_id=request.trace_id,
         policy=request.policy, kernel=request.sim_kernel,
@@ -271,12 +256,6 @@ def _replay_task(request: ReplayRequest) -> ReplayResult:
         )
 
 
-def replay(request: ReplayRequest) -> ReplayResult:
-    """Replay one (trace, policy) pair — the typed front door to
-    :mod:`repro.dynamic`."""
-    return _replay_task(request)
-
-
 def replay_many(
     requests: Iterable[ReplayRequest],
     *,
@@ -290,7 +269,7 @@ def replay_many(
     |traces| replays over the executor.
     """
     executor = get_executor(executor)
-    return executor.map(_replay_task, list(requests))
+    return executor.map(replay, list(requests))
 
 
 # ----------------------------------------------------------------------

@@ -219,11 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="validate with the legacy fixed measurement"
                          " window instead of the warm-up-aware one")
     pd.add_argument("--sim-kernel", default="warm",
-                    choices=("warm", "vectorized", "incremental",
-                             "naive"),
+                    choices=("warm", "naive"),
                     help="max-min flow kernel for validated epochs"
-                         " (all four are bit-identical; default warm,"
-                         " the fastest)")
+                         " (bit-identical; default warm, the fast one;"
+                         " naive is the reference oracle)")
     pd.add_argument("--migration-model",
                     choices=("flat", "state-size"), default="flat",
                     help="migration pricing: flat $/operator (default)"

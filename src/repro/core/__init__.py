@@ -31,7 +31,6 @@ from .mapping import Allocation, required_downloads
 from .pipeline import (
     AllocationResult,
     allocate,
-    allocate_best,
     default_server_selection,
 )
 from .problem import ProblemInstance
@@ -78,7 +77,6 @@ __all__ = [
     "Violation",
     "all_heuristics",
     "allocate",
-    "allocate_best",
     "assert_feasible",
     "default_server_selection",
     "demands_of",

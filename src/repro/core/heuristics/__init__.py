@@ -7,12 +7,7 @@ from .comp_greedy import CompGreedyPlacement
 from .object_availability import ObjectAvailabilityPlacement
 from .object_grouping import ObjectGroupingPlacement
 from .random_h import RandomPlacement
-from .registry import (
-    HEURISTIC_FACTORIES,
-    HEURISTIC_ORDER,
-    all_heuristics,
-    make_heuristic,
-)
+from .registry import HEURISTIC_ORDER, all_heuristics, make_heuristic
 from .subtree_bottom_up import SubtreeBottomUpPlacement
 
 __all__ = [
@@ -25,7 +20,6 @@ __all__ = [
     "SubtreeBottomUpPlacement",
     "ObjectGroupingPlacement",
     "ObjectAvailabilityPlacement",
-    "HEURISTIC_FACTORIES",
     "HEURISTIC_ORDER",
     "RefinementReport",
     "all_heuristics",

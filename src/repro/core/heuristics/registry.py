@@ -3,40 +3,22 @@
 The experiment campaigns, CLI, and benchmark harness all refer to
 heuristics by their paper names.  Since the service API landed,
 lookups are delegated to the unified namespaced registry
-(:mod:`repro.api.registry`, ``placement`` namespace), which seeds
-itself from :data:`HEURISTIC_FACTORIES` below — so strategies added
-downstream via ``repro.api.register("placement", ...)`` resolve here
-too.  :data:`HEURISTIC_ORDER` remains the canonical plotting/report
-order, following the paper's figure legends.
+(:mod:`repro.api.registry`, ``placement`` namespace), which registers
+the six placement classes itself — so strategies added downstream via
+``repro.api.register("placement", ...)`` resolve here too.
+:data:`HEURISTIC_ORDER` remains the canonical plotting/report order,
+following the paper's figure legends.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .base import PlacementHeuristic
-from .comm_greedy import CommGreedyPlacement
-from .comp_greedy import CompGreedyPlacement
-from .object_availability import ObjectAvailabilityPlacement
-from .object_grouping import ObjectGroupingPlacement
-from .random_h import RandomPlacement
-from .subtree_bottom_up import SubtreeBottomUpPlacement
 
 __all__ = [
-    "HEURISTIC_FACTORIES",
     "HEURISTIC_ORDER",
     "make_heuristic",
     "all_heuristics",
 ]
-
-HEURISTIC_FACTORIES: dict[str, Callable[[], PlacementHeuristic]] = {
-    RandomPlacement.name: RandomPlacement,
-    CompGreedyPlacement.name: CompGreedyPlacement,
-    CommGreedyPlacement.name: CommGreedyPlacement,
-    SubtreeBottomUpPlacement.name: SubtreeBottomUpPlacement,
-    ObjectGroupingPlacement.name: ObjectGroupingPlacement,
-    ObjectAvailabilityPlacement.name: ObjectAvailabilityPlacement,
-}
 
 #: Legend order of the paper's figures.
 HEURISTIC_ORDER: tuple[str, ...] = (

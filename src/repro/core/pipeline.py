@@ -27,7 +27,7 @@ from ..rng import make_rng
 from .constraints import verify
 from .downgrade import downgrade_processors
 from .heuristics.base import PlacementHeuristic
-from .heuristics.registry import HEURISTIC_ORDER, make_heuristic
+from .heuristics.registry import make_heuristic
 from .mapping import Allocation
 from .problem import ProblemInstance
 from .server_selection import ServerSelection
@@ -36,7 +36,6 @@ from .throughput import ThroughputAnalysis, max_throughput
 __all__ = [
     "AllocationResult",
     "allocate",
-    "allocate_best",
     "default_server_selection",
 ]
 
@@ -75,51 +74,6 @@ def default_server_selection(heuristic_name: str) -> ServerSelection:
     from ..api import registry as unified
 
     return unified.make("server", unified.default_server_for(heuristic_name))
-
-
-def allocate_best(
-    instance: ProblemInstance,
-    heuristics=None,
-    *,
-    downgrade: bool = True,
-    refine: bool = False,
-    rng: np.random.Generator | int | None = None,
-    executor=None,
-) -> AllocationResult:
-    """Portfolio allocation: run several heuristics, keep the cheapest.
-
-    This is the workflow the paper's summary recommends ("Subtree-
-    bottom-up outperforms other heuristics in most situations [...]
-    There are some cases for which Subtree-bottom-up fails.  In such
-    cases our results suggest that one should use one of our Greedy
-    heuristics") — made executable.  Defaults to all six §4.1
-    heuristics; raises :class:`PlacementError` only when *every* member
-    fails.
-
-    Since the service API landed this is a thin wrapper over
-    :func:`repro.api.solve` with ``portfolio=``; pass ``executor=`` (a
-    worker count or :class:`repro.api.Executor`) to fan the members
-    out in parallel — results are bit-identical to the serial run.
-    """
-    from ..api import SolveRequest, solve
-
-    names = (
-        tuple(heuristics) if heuristics is not None
-        else tuple(HEURISTIC_ORDER)
-    )
-    # the original free function drew the portfolio base seed from its
-    # rng argument like this; SolveRequest.seed IS that base seed, so
-    # forwarding stays bit-identical for int, None, and Generator rng
-    base_seed = int(make_rng(rng).integers(0, 2**31 - 1))
-    sr = solve(
-        SolveRequest(
-            instance=instance, portfolio=names,
-            downgrade=downgrade, refine=refine, seed=base_seed,
-        ),
-        executor=executor,
-    )
-    sr.raise_for_failure()
-    return sr.result
 
 
 def allocate(

@@ -8,8 +8,8 @@ whose ``"type"`` field is one of the ``MSG_*`` constants below.
 Task payloads use one of two codecs:
 
 * ``"wire"`` — for the known service task functions
-  (:func:`repro.api.service._solve_task`,
-  :func:`~repro.api.service._replay_task`,
+  (:func:`repro.api.service.solve`,
+  :func:`~repro.api.service.replay`,
   :func:`repro.service.broker.execute_request`) applied to typed
   requests, the item rides the human-readable
   :mod:`repro.api.wire` format and the function travels *by name* —
@@ -115,12 +115,12 @@ def _wire_task_fns() -> dict[str, Callable]:
     """The task functions allowed to travel by name (resolved lazily —
     importing them at module import time would cycle through
     :mod:`repro.api.service`)."""
-    from ..api.service import _replay_task, _solve_task
+    from ..api.service import replay, solve
     from ..service.broker import execute_request
 
     return {
-        "solve-task": _solve_task,
-        "replay-task": _replay_task,
+        "solve-task": solve,
+        "replay-task": replay,
         "execute-request": execute_request,
     }
 

@@ -49,7 +49,6 @@ from .replay import (
     ReplayResult,
     reconcile,
     reconcile_plan,
-    replay,
 )
 from .transition import (
     DEFAULT_MIGRATION_COST_PER_MB,
@@ -115,6 +114,5 @@ __all__ = [
     "reconcile",
     "reconcile_plan",
     "repair_allocation",
-    "replay",
     "simulate_transition",
 ]

@@ -32,8 +32,8 @@ epoch like a ``resolve`` epoch and flags it), so the adaptive policies
 are never *less* feasible than ``resolve``.
 
 Policies are looked up by name through the unified strategy registry
-(:mod:`repro.api.registry`, ``policy`` namespace), which seeds itself
-from :data:`POLICY_FACTORIES` below; the CLI, experiment campaigns,
+(:mod:`repro.api.registry`, ``policy`` namespace), which registers
+:data:`POLICY_FACTORIES` below; the CLI, experiment campaigns,
 and benchmarks all resolve names the same way.
 """
 

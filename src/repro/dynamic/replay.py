@@ -1,8 +1,9 @@
 """Replay driver: walk a trace, invoke a policy, price reconfiguration.
 
-:func:`replay` runs one :class:`~repro.dynamic.traces.WorkloadTrace`
-under one :class:`~repro.dynamic.policies.ReallocationPolicy` and
-returns a :class:`ReplayResult` time series.  Each epoch is priced by
+The replay engine (reached through :func:`repro.api.replay`) runs one
+:class:`~repro.dynamic.traces.WorkloadTrace` under one
+:class:`~repro.dynamic.policies.ReallocationPolicy` and returns a
+:class:`ReplayResult` time series.  Each epoch is priced by
 *reconciling* the previous platform with the new one:
 
 * processors are matched by uid first, then leftover uids pair up by
@@ -84,7 +85,6 @@ __all__ = [
     "pipeline_warmup_results",
     "reconcile",
     "reconcile_plan",
-    "replay",
 ]
 
 #: Pipeline depths the fill transient is allowed to persist for before
@@ -561,44 +561,6 @@ class ReplayResult:
                 f"{transition}"
             )
         return "\n".join(lines)
-
-
-def replay(
-    trace: WorkloadTrace,
-    policy: ReallocationPolicy | str,
-    *,
-    validate: bool = False,
-    n_results: int = 30,
-    migration_cost: float = DEFAULT_MIGRATION_COST,
-    salvage_fraction: float = DEFAULT_SALVAGE_FRACTION,
-) -> ReplayResult:
-    """Deprecated free-function form of the replay driver.
-
-    Forwards unchanged to :func:`repro.api.replay` (one
-    ``DeprecationWarning`` per process); new code should build a
-    :class:`repro.api.ReplayRequest` — and use
-    :func:`repro.api.replay_many` to fan independent (trace, policy)
-    replays out over worker processes.
-    """
-    from .._deprecation import warn_once
-    from ..api import ReplayRequest, replay as api_replay
-
-    warn_once("repro.dynamic.replay()", "repro.api.replay(ReplayRequest)")
-    if isinstance(policy, ReallocationPolicy):
-        # ad-hoc policy objects bypass the registry; run the engine
-        # directly (they cannot travel to worker processes anyway)
-        return _replay_engine(
-            trace, policy, validate=validate, n_results=n_results,
-            migration_cost=migration_cost,
-            salvage_fraction=salvage_fraction,
-        )
-    return api_replay(
-        ReplayRequest(
-            trace=trace, policy=policy, validate=validate,
-            n_results=n_results, migration_cost=migration_cost,
-            salvage_fraction=salvage_fraction,
-        )
-    )
 
 
 def _replay_engine(

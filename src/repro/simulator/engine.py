@@ -35,30 +35,27 @@ spare bandwidth — more realistic, used by the simulator benchmarks.
 
 Flow kernel
 -----------
-Four kernels, fastest first, all producing **bit identical**
-:class:`SimulationResult`\\ s (asserted by the equivalence tests and
+Two kernels, producing **bit identical** :class:`SimulationResult`\\ s
+(asserted by the equivalence tests and
 ``benchmarks/bench_simulator.py``):
 
-* ``warm`` (default) — the incremental component kernel plus numpy
-  filling for large components *and* warm-started refills: converged
-  fills are memoised by component structure, so the periodic flow
-  configurations a steady-state run cycles through are refilled once
-  and then replayed (see :mod:`repro.simulator.flows`).  Hits and
-  cold-fill fallbacks are counted in ``SimulationResult.warm_hits`` /
-  ``warm_fallbacks``.
-* ``vectorized`` — incremental + numpy filling, no memo; isolates the
-  vectorization win from the warm cache in benchmarks.
-* ``incremental`` — keeps a persistent
+* ``warm`` (default, production) — keeps a persistent
   :class:`~repro.simulator.flows.FlowNetwork` across flow events and
-  recomputes progressive filling only over the connected component the
-  changed flow touches; under ``reserved`` on a feasible allocation
-  every flow start/finish is O(degree) — no filling pass at all.
+  refills only the connected component the changed flow touches; under
+  ``reserved`` on a feasible allocation every flow start/finish is
+  O(degree) — no filling pass at all.  Refills are memoised by
+  component structure, so the periodic flow configurations a
+  steady-state run cycles through are filled once and then replayed,
+  and each cold fill picks python or numpy filling from its estimated
+  work (see :mod:`repro.simulator.flows`).  Hits and cold-fill
+  fallbacks are counted in ``SimulationResult.warm_hits`` /
+  ``warm_fallbacks``.
 * ``naive`` — the reference oracle: rebuilds the flow table and
-  globally recomputes max-min rates from scratch on every event, like
-  the pre-incremental engine.
+  recomputes max-min rates from scratch
+  (:func:`~repro.simulator.flows.max_min_rates`) on every event.
 
-Every kernel reschedules only flows whose *rate actually changed*, so
-they all run the same event sequence.
+Both kernels reschedule only flows whose *rate actually changed*, so
+they run the same event sequence.
 
 The integration tests drive both directions: feasible allocations must
 achieve the offered rate with zero misses; offering well above the
@@ -97,17 +94,10 @@ _EPS = 1e-9
 #: complete when its deadline arrives (floating-point tie grace).
 _DEADLINE_GRACE_MB = 1e-6
 
-FLOW_KERNELS = ("warm", "vectorized", "incremental", "naive")
+FLOW_KERNELS = ("warm", "naive")
 
 #: Process-wide default kernel; see :func:`flow_kernel`.
 _default_kernel: str = "warm"
-
-#: FlowNetwork feature flags per non-naive kernel.
-_KERNEL_NET_FLAGS: dict[str, dict[str, bool]] = {
-    "warm": {"vectorized": True, "warm": True},
-    "vectorized": {"vectorized": True},
-    "incremental": {},
-}
 
 # Run-level telemetry: a handful of counter bumps per *simulation*, not
 # per event, so the hot loop stays untouched (the <2% overhead budget
@@ -210,9 +200,9 @@ class SimulationResult:
     #: from equality so cross-kernel ``a == b`` bit-identity checks
     #: compare only the physics.
     kernel: str = field(default="", compare=False)
-    #: Warm-start outcomes (``warm`` kernel only; 0 otherwise): refills
-    #: served from a previously converged component structure vs. cold
-    #: fills.  Excluded from equality like ``kernel``.
+    #: Warm-start outcomes (``warm`` kernel only; 0 for ``naive``):
+    #: refills served from a previously converged component structure
+    #: vs. cold fills.  Excluded from equality like ``kernel``.
     warm_hits: int = field(default=0, compare=False)
     warm_fallbacks: int = field(default=0, compare=False)
 
@@ -284,11 +274,9 @@ class SteadyStateSimulator:
 
         # ---- static flow constraint table -----------------------------
         self.constraints: dict[object, CapacityConstraint] = {}
-        self.net = FlowNetwork(
-            **_KERNEL_NET_FLAGS.get(self.kernel, {})
-        )
-        #: True for every kernel that drives the persistent network
-        #: (everything but the from-scratch ``naive`` oracle).
+        self.net = FlowNetwork()
+        #: False for the from-scratch ``naive`` oracle, which keeps the
+        #: network only as its constraint table.
         self._use_net = self.kernel != "naive"
         for u, p in self.procs.items():
             self._add_constraint(("nic", "P", u), p.nic_mbps)
@@ -397,10 +385,9 @@ class SteadyStateSimulator:
             f.moved = 0.0
 
     def _naive_recompute(self) -> dict[object, float]:
-        """Reference kernel: rebuild the flow table and globally recompute
-        max-min rates from scratch, exactly like the pre-incremental
-        engine; only the rates that differ from the current ones are
-        reported (so both kernels schedule the same events)."""
+        """Reference kernel: rebuild the flow table and recompute max-min
+        rates from scratch; only the rates that differ from the current
+        ones are reported (so both kernels schedule the same events)."""
         specs = [
             FlowSpec(key, f.constraints, f.cap)
             for key, f in self.flows.items()
@@ -477,7 +464,8 @@ class SteadyStateSimulator:
         all flows register first, then the affected components refill
         once (``FlowNetwork.add_flows``) — the reallocation step's flow
         churn costs a single filling pass instead of one per flow.
-        The naive kernel mirrors this with one global recompute."""
+        The naive kernel mirrors this with one from-scratch
+        recompute."""
         if not self.inject:
             return
         self._settle()

@@ -37,8 +37,8 @@ rate untouched.  Two exact shortcuts make the common cases cheap:
 
 Both shortcuts are decision rules shared with the from-scratch
 recompute (:func:`max_min_rates`), so the incremental path is
-*bit-identical* to a full recompute — the engine's kernels cross-check
-exactly on this property.
+*bit-identical* to a full recompute — the engine's ``warm`` kernel and
+``naive`` oracle cross-check exactly on this property.
 
 Vectorized filling
 ------------------
@@ -53,31 +53,33 @@ the identical sequence of IEEE-754 operations on the identical values
 there is no reassociated summation anywhere), so the two
 implementations agree **bit for bit** on any input; the randomized
 component tests assert exactly that.  :class:`FlowNetwork` picks the
-kernel **per fill** from an estimate of the python loop's work (rounds
-× touched rows — see :meth:`FlowNetwork._use_vector_kernel`); passing
-an explicit ``vector_min_flows`` restores the flat component-size gate
-(numpy for components of that many flows or more,
-:data:`VECTORIZE_MIN_FLOWS` being the traditional value).
+implementation **per fill** from an estimate of the python loop's work
+(rounds × touched rows — see :meth:`FlowNetwork._use_vector_kernel`).
 
 Warm-started refills
 --------------------
-With ``warm=True`` the network additionally memoises converged fills
-by **component structure** — the multiset of (constraint tuple, cap)
-flow shapes plus the (constraint, capacity) set.  A steady-state
-simulation cycles through a small set of flow configurations (periodic
-downloads, pipelined edge transfers), so after the first lap nearly
-every refill is served from previously converged rates instead of
-refilling from zero.  The fill arithmetic depends only on those
-structural values (never on flow identities or iteration order), so a
-structure hit replays *exactly* the rates a cold fill would compute —
-the warm path is bit-identical by construction.  A structure not seen
-before falls back to a cold fill; hits and fallbacks are counted
-(``warm_hits`` / ``warm_fallbacks``) and surfaced in
+:class:`FlowNetwork` memoises converged fills by **component
+structure** — the multiset of (constraint tuple, cap) flow shapes plus
+the (constraint, capacity) set.  A steady-state simulation cycles
+through a small set of flow configurations (periodic downloads,
+pipelined edge transfers), so after the first lap nearly every refill
+is served from previously converged rates instead of refilling from
+zero.  The fill arithmetic depends only on those structural values
+(never on flow identities or iteration order), so a structure hit
+replays *exactly* the rates a cold fill would compute — the warm path
+is bit-identical by construction.  A structure not seen before falls
+back to a cold fill; hits and fallbacks are counted (``warm_hits`` /
+``warm_fallbacks``) and surfaced in
 :class:`~repro.simulator.engine.SimulationResult` so regressions stay
 attributable.  (A literal delta-redistribution from the previous rates
 cannot be bit-stable: progressive filling's float values depend on the
 full step sequence from zero, so any shortcut that *re-derives* them
 along a different arithmetic path diverges in the last ulp.)
+
+The reference path (:func:`max_min_rates`, and through it the engine's
+``naive`` oracle) builds its network with ``oracle=True``: no memo and
+pure-Python fills only, so the oracle never shares the machinery it
+checks.
 
 This module is deliberately independent of the rest of the simulator:
 constraints are abstract (capacity, member flows), so the unit tests
@@ -95,7 +97,6 @@ __all__ = [
     "FlowSpec",
     "CapacityConstraint",
     "FlowNetwork",
-    "VECTORIZE_MIN_FLOWS",
     "max_min_rates",
 ]
 
@@ -105,22 +106,12 @@ _STALL_MSG = (
     " binding constraint or cap could be identified"
 )
 
-#: Component size (flows) at which :class:`FlowNetwork` switches from
-#: the pure-Python filling loop to the numpy formulation when an
-#: explicit ``vector_min_flows`` gate is configured.  Below this the
-#: array set-up dominates the rounds it saves; both paths are
-#: bit-identical, so the threshold is a pure performance knob.  The
-#: *default* kernel choice is finer-grained: a per-fill round-count
-#: estimate (see :meth:`FlowNetwork._use_vector_kernel`).
-VECTORIZE_MIN_FLOWS = 48
-
 #: Estimated python-loop work (rounds × touched rows) above which the
-#: numpy formulation pays for its array set-up.  Only consulted by the
-#: default per-fill heuristic, never with an explicit
-#: ``vector_min_flows`` gate.
+#: numpy formulation pays for its array set-up (see
+#: :meth:`FlowNetwork._use_vector_kernel`).
 _VECTOR_MIN_WORK = 2048
 
-#: Converged-structure memo bound (entries) for warm-started networks.
+#: Converged-structure memo bound (entries) per network.
 _WARM_CACHE_MAX = 4096
 
 
@@ -369,36 +360,23 @@ class FlowNetwork:
     update the indices and return **only the rates that changed**, so
     the caller can leave every other flow's scheduled completion event
     untouched.  :meth:`recompute_all` refills every component from
-    scratch — the reference ("naive") kernel — and returns the same
-    changed-rate mapping; the two paths agree bit-for-bit because every
-    component is always filled by the same arithmetic on the same
-    inputs.
+    scratch and returns the same changed-rate mapping; the two paths
+    agree bit-for-bit because every component is always filled by the
+    same arithmetic on the same inputs.
 
-    ``vectorized=True`` fills through the numpy formulation whenever
-    the per-fill work estimate says the array set-up pays for itself
-    (bit-identical either way, see module docstring); an explicit
-    ``vector_min_flows`` replaces that estimate with the flat
-    component-size gate.  ``warm=True`` additionally memoises
-    converged fills by component structure (``warm_hits`` /
-    ``warm_fallbacks`` count the outcomes).
+    Fills memoise converged rates by component structure
+    (``warm_hits`` / ``warm_fallbacks`` count the outcomes) and pick
+    python or numpy filling per fill (bit-identical either way, see
+    module docstring).  ``oracle=True`` is the reference path of
+    :func:`max_min_rates`: no memo, pure-Python fills only.
     """
 
     def __init__(
-        self,
-        *,
-        epsilon: float = 1e-12,
-        vectorized: bool = False,
-        warm: bool = False,
-        vector_min_flows: int | None = None,
+        self, *, epsilon: float = 1e-12, oracle: bool = False
     ) -> None:
         self.epsilon = epsilon
-        self.vectorized = vectorized
-        self.warm = warm
-        #: ``None`` (the default) selects the kernel per fill from a
-        #: round-count estimate; an explicit int restores the flat
-        #: component-size gate (``len(flows) >= vector_min_flows``).
-        self.vector_min_flows = vector_min_flows
-        #: Warm-path outcome counters (only move when ``warm=True``):
+        self.oracle = oracle
+        #: Warm-path outcome counters (never move on the oracle path):
         #: a *hit* served converged rates for a previously seen
         #: component structure; a *fallback* ran a cold fill.
         self.warm_hits = 0
@@ -589,7 +567,7 @@ class FlowNetwork:
             for fid in comp_f
         ]
         cap_left = {cid: self._capacity[cid] for cid in comp_c}
-        if self.vectorized and self._use_vector_kernel(
+        if not self.oracle and self._use_vector_kernel(
             triples, len(comp_c)
         ):
             return _progressive_fill_vectorized(
@@ -602,24 +580,21 @@ class FlowNetwork:
         triples: "Sequence[tuple[Hashable, tuple, float | None]]",
         n_constraints: int,
     ) -> bool:
-        """Pick the kernel for *this* fill.
+        """Pick python or numpy filling for *this* fill.
 
-        With an explicit ``vector_min_flows`` the choice is the flat
-        size gate.  By default the gate is the *estimated python-loop
-        work* instead: progressive filling runs one round per freeze
+        The gate is the *estimated python-loop work*: progressive
+        filling runs one round per freeze
         event, and every round either freezes one distinct cap value
         or saturates one constraint, so the round count is bounded by
         ``distinct caps + constraints`` (and trivially by the number
         of participants).  A 1000-flow component with one shared cap
         converges in ~2 rounds — cheap in python, not worth the array
         set-up — while a 60-flow staircase of distinct caps runs ~60
-        rounds and vectorizes well.  The flat size gate cannot see the
-        difference; the work estimate can.  Both kernels are
+        rounds and vectorizes well.  A flat component-size gate cannot
+        see the difference; the work estimate can.  Both fills are
         bit-identical, so this is purely a performance decision.
         """
         n_flows = len(triples)
-        if self.vector_min_flows is not None:
-            return n_flows >= self.vector_min_flows
         caps = {cap for _, _, cap in triples if cap is not None}
         est_rounds = min(len(caps) + n_constraints,
                          n_flows + n_constraints)
@@ -636,7 +611,9 @@ class FlowNetwork:
             # all-caps grant: Σ caps fits every constraint, so max-min
             # rates are exactly the caps (see module docstring).
             new = {fid: cap_of[fid] for fid in comp_f}
-        elif self.warm:
+        elif self.oracle:
+            new = self._cold_fill(comp_f, comp_c)
+        else:
             key, groups = self._component_structure(comp_f, comp_c)
             memo = self._warm_rates.get(key)
             if memo is not None:
@@ -654,8 +631,6 @@ class FlowNetwork:
                 self._warm_rates[key] = {
                     shape: new[fids[0]] for shape, fids in groups.items()
                 }
-        else:
-            new = self._cold_fill(comp_f, comp_c)
         changed: dict[Hashable, float] = {}
         rate = self._rate
         for fid, r in new.items():
@@ -743,7 +718,7 @@ class FlowNetwork:
         return self._refill_components(seeds)
 
     def recompute_all(self) -> dict[Hashable, float]:
-        """Refill every component from scratch (the reference kernel)."""
+        """Refill every component (the from-scratch recompute)."""
         return self._refill_components(self._constraints_of)
 
 
@@ -752,7 +727,6 @@ def max_min_rates(
     constraints: Iterable[CapacityConstraint],
     *,
     epsilon: float = 1e-12,
-    decompose: bool = True,
 ) -> dict[Hashable, float]:
     """Progressive-filling max-min fair allocation, from scratch.
 
@@ -760,23 +734,12 @@ def max_min_rates(
     id raise ``KeyError`` — that is a wiring bug, not a runtime
     condition.  A flow crossing a zero-capacity constraint gets rate 0.
 
-    ``decompose=True`` (default) fills each connected component of the
-    flow/constraint graph independently — the arithmetic the
-    incremental :class:`FlowNetwork` reproduces bit-for-bit.
-    ``decompose=False`` runs one global filling pass over everything
-    (the pre-incremental reference; kept for the equivalence tests —
-    the two differ only by float rounding of the step sequence).
+    Each connected component of the flow/constraint graph is filled
+    independently, by cold pure-Python progressive filling (after the
+    all-caps grant) — the arithmetic the incremental
+    :class:`FlowNetwork` reproduces bit-for-bit.
     """
-    if not decompose:
-        cap_left = {
-            c.constraint_id: float(c.capacity) for c in constraints
-        }
-        return _progressive_fill(
-            [(f.flow_id, f.constraints, f.cap) for f in flows],
-            cap_left,
-            epsilon,
-        )
-    net = FlowNetwork(epsilon=epsilon)
+    net = FlowNetwork(epsilon=epsilon, oracle=True)
     for c in constraints:
         net.add_constraint(c.constraint_id, c.capacity)
     for f in flows:

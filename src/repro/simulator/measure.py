@@ -55,9 +55,9 @@ def simulate_allocation(
 ) -> SimulationResult:
     """One steady-state run (defaults to the instance's target ρ).
 
-    ``kernel`` picks the max-min implementation (``"warm"`` /
-    ``"vectorized"`` / ``"incremental"`` / ``"naive"``); ``None`` uses
-    the process default, controllable with
+    ``kernel`` picks the max-min implementation (``"warm"`` or the
+    ``"naive"`` oracle); ``None`` uses the process default,
+    controllable with
     :func:`~repro.simulator.engine.flow_kernel`.  ``warmup_results``
     floors how many leading completions the achieved-rate window skips
     (0 keeps the historical drop-first-third window).

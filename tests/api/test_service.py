@@ -16,7 +16,6 @@ from repro.api import (
     sweep,
 )
 from repro.core import allocate as engine_allocate
-from repro.core.pipeline import allocate_best
 
 
 @pytest.fixture(scope="module")
@@ -65,27 +64,36 @@ class TestSolve:
         )
         assert sr.cost <= solo.cost + 1e-9
 
-    def test_portfolio_matches_allocate_best(self, inst):
-        """The legacy portfolio folds its rng into the request seed
-        (one integers() draw), so the two paths agree bit-for-bit —
-        for int seeds and for caller-supplied generators alike."""
-        import numpy as np
-
+    def test_portfolio_matches_member_engines(self, inst):
+        """Each member runs the engine on its derived seed
+        (``derive_seed(seed, "portfolio", member)``) and the cheapest
+        wins, earliest member on ties — bit-for-bit."""
         from repro.core import HEURISTIC_ORDER
-        from repro.rng import make_rng
+        from repro.errors import ReproError
+        from repro.rng import derive_seed
 
-        for make_input in (lambda: 7, lambda: np.random.default_rng(5)):
-            best = allocate_best(inst, rng=make_input())
-            base_seed = int(make_rng(make_input()).integers(0, 2**31 - 1))
+        for seed in (7, 1234):
             sr = solve(
                 SolveRequest(
                     instance=inst, portfolio=tuple(HEURISTIC_ORDER),
-                    seed=base_seed,
+                    seed=seed,
                 )
             )
+            best = None
+            for name in HEURISTIC_ORDER:
+                try:
+                    member = engine_allocate(
+                        inst, name,
+                        rng=derive_seed(seed, "portfolio", name),
+                    )
+                except ReproError:
+                    continue
+                if best is None or member.cost < best.cost - 1e-9:
+                    best = member
             assert sr.cost == best.cost
             assert sr.heuristic == best.heuristic
             assert sr.allocation.assignment == best.allocation.assignment
+            assert sr.allocation.downloads == best.allocation.downloads
 
     def test_portfolio_parallel_matches_serial(self, inst):
         req = SolveRequest(

@@ -67,7 +67,7 @@ def _random_replay_request(rng: random.Random) -> ReplayRequest:
         n_results=rng.choice((10, 30)),
         migration_cost=rng.choice((150.0, 25.0)),
         salvage_fraction=rng.choice((0.5, 0.1)),
-        sim_kernel=rng.choice(("incremental", "naive")),
+        sim_kernel=rng.choice(("warm", "naive")),
         sim_warmup=rng.random() < 0.5,
         migration_model=rng.choice(("flat", "state-size")),
         migration_cost_per_mb=rng.choice((1.25, 0.4)),

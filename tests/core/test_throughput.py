@@ -5,6 +5,7 @@ import math
 import pytest
 
 import repro
+from repro.core import allocate
 from repro.core.throughput import max_throughput
 
 from .test_constraints import alloc_all_on, make_setup
@@ -81,7 +82,7 @@ class TestConsistencyWithVerifier:
         from repro.core.constraints import verify
 
         inst = repro.quick_instance(15, alpha=1.5, seed=9)
-        result = repro.allocate(inst, heuristic, rng=2)
+        result = allocate(inst, heuristic, rng=2)
         rho_star = result.throughput.rho_max
         if math.isinf(rho_star):
             return
@@ -90,6 +91,6 @@ class TestConsistencyWithVerifier:
 
     def test_sustains(self):
         inst = repro.quick_instance(12, alpha=1.4, seed=4)
-        result = repro.allocate(inst, "comp-greedy", rng=0)
+        result = allocate(inst, "comp-greedy", rng=0)
         assert result.throughput.sustains(1.0)
         assert result.throughput.sustains(result.throughput.rho_max)

@@ -18,7 +18,7 @@ from repro.api.wire import (
     request_to_wire,
     send_frame,
 )
-from repro.api.service import _replay_task, _solve_task
+from repro.api.service import replay, solve
 from repro.distributed.protocol import (
     decode_result,
     decode_task,
@@ -191,11 +191,11 @@ class TestTaskCodec:
         request = SolveRequest(
             spec=InstanceSpec(n_operators=10, seed=4), seed=4
         )
-        payload = encode_task(_solve_task, request)
+        payload = encode_task(solve, request)
         assert payload["codec"] == "wire"
         assert payload["fn"] == "solve-task"
         fn, item = decode_task(payload)
-        assert fn is _solve_task
+        assert fn is solve
         assert request_to_wire(item) == request_to_wire(request)
 
     def test_replay_task_known(self):
@@ -203,7 +203,7 @@ class TestTaskCodec:
 
         request = ReplayRequest(trace="multi-app", policy="static",
                                 seed=5, n_results=10)
-        payload = encode_task(_replay_task, request)
+        payload = encode_task(replay, request)
         assert payload["codec"] == "wire"
         assert payload["fn"] == "replay-task"
 
@@ -222,10 +222,10 @@ class TestTaskCodec:
         request = ReplayRequest(
             trace=make_trace("multi-app", seed=5), policy="static"
         )
-        payload = encode_task(_replay_task, request)
+        payload = encode_task(replay, request)
         assert payload["codec"] == "pickle"
         fn, item = decode_task(payload)
-        assert fn is _replay_task
+        assert fn is replay
         assert item.policy == "static"
 
     def test_unknown_codec_rejected(self):
@@ -242,7 +242,7 @@ class TestResultCodec:
         request = SolveRequest(
             spec=InstanceSpec(n_operators=8, seed=2), seed=2
         )
-        value = _solve_task(request)
+        value = solve(request)
         out = decode_result(encode_result(value))
         assert out.ok == value.ok
         assert out.result.cost == value.result.cost

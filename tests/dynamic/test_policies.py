@@ -10,6 +10,7 @@ violation that a mid-catalog CPU clears.
 
 import pytest
 
+from repro.api import ReplayRequest, replay
 from repro.apptree.nodes import Operator
 from repro.apptree.objects import BasicObject, ObjectCatalog
 from repro.apptree.tree import OperatorTree
@@ -22,7 +23,6 @@ from repro.dynamic import (
     WorkloadTrace,
     make_policy,
     repair_allocation,
-    replay,
 )
 from repro.errors import AllocationError
 from repro.platform.catalog import dell_catalog
@@ -88,7 +88,8 @@ class TestRegistry:
 class TestStatic:
     def test_never_migrates_and_violates_under_pressure(self, micro):
         # ρ 2000 overloads the 11.72 GHz machine (load 120k > ~70k ops/s)
-        result = replay(micro_trace(micro, [1.5, 2000.0, 1.0]), "static")
+        result = replay(ReplayRequest(
+            trace=micro_trace(micro, [1.5, 2000.0, 1.0]), policy="static"))
         assert [r.action for r in result.records] == [
             "initial", "keep", "keep", "keep",
         ]
@@ -124,7 +125,7 @@ class TestStatic:
 class TestResolve:
     def test_matches_fresh_heuristic_run(self, micro):
         trace = micro_trace(micro, [1.5, 3.0])
-        result = replay(trace, "resolve")
+        result = replay(ReplayRequest(trace=trace, policy="resolve"))
         for epoch, (_t, _label, inst) in enumerate(trace.epochs()):
             fresh = allocate(
                 inst, "subtree-bottom-up",
@@ -165,7 +166,8 @@ class TestRepairStrategies:
         assert outcome.allocation.cost < expensive.cost
 
     def test_policy_replay_stays_feasible(self, micro, strategy):
-        result = replay(micro_trace(micro, [1.5, 2000.0, 1.0]), strategy)
+        result = replay(ReplayRequest(
+            trace=micro_trace(micro, [1.5, 2000.0, 1.0]), policy=strategy))
         assert result.violation_epochs == 0
         # adapting beats freezing: the pushed epoch was actually served
         assert result.records[2].feasible

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dynamic import make_trace, reconcile, replay
+from repro.api import ReplayRequest, replay
+from repro.dynamic import make_trace, reconcile
 from repro.dynamic.replay import DEFAULT_SALVAGE_FRACTION
 
 
@@ -48,7 +49,7 @@ class TestReconcile:
 class TestPricing:
     def test_initial_epoch_charges_full_platform(self):
         trace = make_trace("ramp", seed=3, n_operators=8, n_epochs=2)
-        result = replay(trace, "static")
+        result = replay(ReplayRequest(trace=trace, policy="static"))
         first = result.records[0]
         assert first.purchase_cost == first.platform_cost
         assert first.salvage_credit == 0.0
@@ -56,7 +57,7 @@ class TestPricing:
 
     def test_cumulative_cost_sums_epoch_reconfig(self):
         trace = make_trace("ramp", seed=3, n_operators=8, n_epochs=3)
-        result = replay(trace, "harvest")
+        result = replay(ReplayRequest(trace=trace, policy="harvest"))
         assert result.cumulative_cost == pytest.approx(
             sum(r.reconfig_cost for r in result.records)
         )
@@ -69,22 +70,28 @@ class TestDeterminism:
     @pytest.mark.parametrize("policy", ["static", "resolve", "harvest"])
     def test_same_seed_yields_byte_identical_replay(self, policy):
         kw = dict(n_operators=8, n_epochs=4)
-        a = replay(make_trace("churn", seed=99, **kw), policy)
-        b = replay(make_trace("churn", seed=99, **kw), policy)
+        a = replay(ReplayRequest(
+            trace=make_trace("churn", seed=99, **kw), policy=policy))
+        b = replay(ReplayRequest(
+            trace=make_trace("churn", seed=99, **kw), policy=policy))
         assert a.to_json() == b.to_json()
 
     def test_different_seeds_differ(self):
         kw = dict(n_operators=8, n_epochs=4)
-        a = replay(make_trace("churn", seed=1, **kw), "harvest")
-        b = replay(make_trace("churn", seed=2, **kw), "harvest")
+        a = replay(ReplayRequest(
+            trace=make_trace("churn", seed=1, **kw), policy="harvest"))
+        b = replay(ReplayRequest(
+            trace=make_trace("churn", seed=2, **kw), policy="harvest"))
         assert a.to_json() != b.to_json()
 
     def test_validated_replay_is_deterministic(self):
         kw = dict(n_operators=6, n_epochs=2)
-        a = replay(make_trace("ramp", seed=5, **kw), "harvest",
-                   validate=True, n_results=10)
-        b = replay(make_trace("ramp", seed=5, **kw), "harvest",
-                   validate=True, n_results=10)
+        a = replay(ReplayRequest(
+            trace=make_trace("ramp", seed=5, **kw), policy="harvest",
+            validate=True, n_results=10))
+        b = replay(ReplayRequest(
+            trace=make_trace("ramp", seed=5, **kw), policy="harvest",
+            validate=True, n_results=10))
         assert a.to_json() == b.to_json()
         assert a.sim_violation_epochs == 0
 
@@ -97,7 +104,7 @@ class TestFailureHandling:
         plan still serves it (seed 0: app0 departs first)."""
         trace = make_trace("multi-app", seed=0, n_operators=5, n_epochs=4)
         assert "departs" in trace.events[0].label
-        result = replay(trace, "static")
+        result = replay(ReplayRequest(trace=trace, policy="static"))
         assert result.records[1].action == "keep"  # pure departure: OK
         failed = [r for r in result.records if r.action == "failed"]
         assert failed  # every epoch after the first arrival
@@ -115,15 +122,13 @@ class TestWarmupAwareValidation:
     while a genuinely overloaded platform must keep failing."""
 
     def test_ramp_harvest_transient_misses_disappear(self):
-        from repro.api import ReplayRequest, replay as api_replay
-
-        legacy = api_replay(
+        legacy = replay(
             ReplayRequest(trace="ramp", policy="harvest", seed=2009,
                           validate=True)
         )
         # the 4 transient misses recorded honestly by PR 3
         assert legacy.sim_violation_epochs == 4
-        warm = api_replay(
+        warm = replay(
             ReplayRequest(trace="ramp", policy="harvest", seed=2009,
                           validate=True, sim_warmup=True)
         )

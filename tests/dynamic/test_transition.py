@@ -345,7 +345,7 @@ class TestTransitionSimulator:
         old, new, plan = _reallocation_step()
         a = simulate_transition(
             old, new, plan.moves, plan.uid_map, n_results=20,
-            kernel="incremental",
+            kernel="warm",
         )
         b = simulate_transition(
             old, new, plan.moves, plan.uid_map, n_results=20,

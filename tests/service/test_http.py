@@ -120,6 +120,20 @@ class TestErrors:
         assert err.status == 400
         assert "did you mean 'strategy'" in err.payload["error"]
 
+    @pytest.mark.parametrize("retired", ["incremental", "vectorized"])
+    def test_retired_sim_kernel_400(self, client, retired):
+        """A replay naming a removed flow kernel is the client's fault:
+        400 with the valid kernels, never a 500."""
+        with pytest.raises(ServiceError) as exc_info:
+            client._request(
+                "POST", "/v1/submit",
+                {"request": {"kind": "replay", "trace": "ramp",
+                             "policy": "static", "sim_kernel": retired}},
+            )
+        err = exc_info.value
+        assert err.status == 400
+        assert "('warm', 'naive')" in err.payload["error"]
+
     def test_unknown_submit_field_400(self, client):
         with pytest.raises(ServiceError) as exc_info:
             client._request(

@@ -7,6 +7,7 @@ from repro.simulator.flows import (
     CapacityConstraint,
     FlowNetwork,
     FlowSpec,
+    _progressive_fill,
     max_min_rates,
 )
 
@@ -143,9 +144,9 @@ def _random_scenario(rng, n_flows, n_constraints):
 
 
 class TestFlowNetworkIncremental:
-    """The incremental kernel must equal a from-scratch recompute
-    *bit for bit* after any add/remove sequence, and agree with the
-    pre-incremental single-pass filling up to float rounding."""
+    """The persistent network must equal a from-scratch recompute
+    *bit for bit* after any add/remove sequence, and agree with one
+    global filling pass over every flow up to float rounding."""
 
     @given(
         n_flows=st.integers(1, 10),
@@ -193,8 +194,13 @@ class TestFlowNetworkIncremental:
         # bit-identical to the decomposed from-scratch recompute …
         fresh = max_min_rates(specs, constraints)
         assert dict(net.rates) == fresh
-        # … and equal to the legacy global filling up to rounding
-        legacy = max_min_rates(specs, constraints, decompose=False)
+        # … and equal to one global filling pass over every flow
+        # (no component decomposition) up to rounding
+        legacy = _progressive_fill(
+            [(f.flow_id, f.constraints, f.cap) for f in specs],
+            {c.constraint_id: float(c.capacity) for c in constraints},
+            1e-12,
+        )
         assert set(legacy) == set(fresh)
         for fid, rate in legacy.items():
             assert fresh[fid] == pytest.approx(rate, abs=1e-7)

@@ -1,13 +1,13 @@
-"""Flow-kernel equivalence: warm / vectorized / incremental vs naive.
+"""Flow-kernel equivalence: warm vs naive.
 
-Every accelerated max-min kernel (persistent :class:`FlowNetwork`,
-component-scoped refills, reserved fast path; plus numpy filling for
-``vectorized`` and structure-memoised refills for ``warm``) must
-produce **bit identical** :class:`SimulationResult`\\ s to the
-``naive`` reference oracle (flow table rebuilt + rates globally
-recomputed on every flow event) — on real pipeline allocations, at
-feasible and saturating offered rates, under both flow policies, and
-across whole simulator-validated dynamic replays on the seeded traces.
+The production ``warm`` kernel (persistent :class:`FlowNetwork`,
+component-scoped refills, reserved fast path, per-fill numpy choice
+and structure-memoised refills) must produce **bit identical**
+:class:`SimulationResult`\\ s to the ``naive`` reference oracle (flow
+table rebuilt + rates recomputed from scratch on every flow event) —
+on real pipeline allocations, at feasible and saturating offered
+rates, under both flow policies, and across whole simulator-validated
+dynamic replays on the seeded traces.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.simulator import (
     simulate_allocation,
 )
 
-#: Every kernel that must match the ``naive`` oracle bit-for-bit.
+#: The kernel that must match the ``naive`` oracle bit-for-bit.
 FAST_KERNELS = tuple(k for k in FLOW_KERNELS if k != "naive")
 
 
@@ -56,7 +56,7 @@ class TestBitIdentical:
     @pytest.mark.parametrize("kernel", FAST_KERNELS)
     def test_overloaded_run_matches(self, alloc, kernel):
         """Saturation branch: far past the analytic maximum the queue
-        backs up; all kernels must agree on the whole trajectory."""
+        backs up; both kernels must agree on the whole trajectory."""
         rho = alloc.instance.rho * 8.0
         a = _run(alloc, kernel, offered_rate=rho, n_results=25)
         b = _run(alloc, "naive", offered_rate=rho, n_results=25)
@@ -69,11 +69,11 @@ class TestBitIdentical:
 
     def test_warm_counters_surface(self, alloc):
         """An elastic run exercises real refills; the warm kernel must
-        report its cache outcomes, and only the warm kernel may."""
+        report its cache outcomes, and the oracle never does."""
         rho = alloc.instance.rho * 2.5
         warm = _run(alloc, "warm", offered_rate=rho, n_results=30,
                     flow_policy="elastic")
-        cold = _run(alloc, "incremental", offered_rate=rho, n_results=30,
+        cold = _run(alloc, "naive", offered_rate=rho, n_results=30,
                     flow_policy="elastic")
         assert warm.warm_hits + warm.warm_fallbacks > 0
         assert warm.warm_hits > 0  # steady state cycles structures
@@ -94,7 +94,7 @@ class TestBitIdentical:
 
 class TestReplayEquivalence:
     """Whole simulator-validated replays on the seeded dynamic traces
-    must render to byte-identical JSON under every kernel."""
+    must render to byte-identical JSON under both kernels."""
 
     @pytest.mark.parametrize("trace_name", ["churn", "multi-app"])
     def test_validated_replay_bit_identical(self, trace_name):
@@ -122,6 +122,18 @@ class TestReplayEquivalence:
         with pytest.raises(ValueError):
             ReplayRequest(trace="ramp", sim_kernel="magic")
 
+    @pytest.mark.parametrize("retired", ["incremental", "vectorized"])
+    def test_retired_kernel_names_rejected(self, retired):
+        """No alias table: the old names fail at the door and the
+        message names the kernels that exist."""
+        from repro.api import ReplayRequest
+
+        with pytest.raises(ValueError, match=r"\('warm', 'naive'\)"):
+            ReplayRequest(trace="ramp", sim_kernel=retired)
+        with pytest.raises(ModelError):
+            with flow_kernel(retired):
+                pass  # pragma: no cover
+
     def test_request_validation_mirrors_engine_kernels(self):
         """ReplayRequest hard-codes the kernel names to avoid importing
         the simulator on every construction; keep the mirror honest."""
@@ -129,8 +141,7 @@ class TestReplayEquivalence:
 
         for kernel in FLOW_KERNELS:
             ReplayRequest(trace="ramp", sim_kernel=kernel)  # must not raise
-        assert FLOW_KERNELS == ("warm", "vectorized", "incremental",
-                                "naive")
+        assert FLOW_KERNELS == ("warm", "naive")
         assert ReplayRequest(trace="ramp").sim_kernel == "warm"
 
 

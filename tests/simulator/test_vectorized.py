@@ -12,19 +12,19 @@ Three layers:
   floats) over random flow/constraint topologies, including
   saturated-from-the-start (zero/tiny-capacity) constraints and
   individually-capped flows;
-* :class:`FlowNetwork` — a ``vectorized=True`` network (numpy forced
-  on every component via ``vector_min_flows=1``) must track a plain
-  network through random add/remove churn, changed-set for
-  changed-set;
-* warm start — a ``warm=True`` network must do the same while its
-  structure memo serves hits, and the hit/fallback counters must
-  account for every non-grant refill.
+* :class:`FlowNetwork` — the production network (numpy forced on
+  every fill by zeroing ``_VECTOR_MIN_WORK``, or chosen per fill) must
+  track the ``oracle=True`` reference network (cold pure-Python fills)
+  through random add/remove churn, changed-set for changed-set;
+* warm start — the network must do the same while its structure memo
+  serves hits, and the hit/fallback counters must account for every
+  non-grant refill.
 """
 
 import random
 
+from repro.simulator import flows
 from repro.simulator.flows import (
-    VECTORIZE_MIN_FLOWS,
     FlowNetwork,
     _progressive_fill,
     _progressive_fill_vectorized,
@@ -126,37 +126,33 @@ def _churn(seed, net_a, net_b, steps=80):
 
 
 class TestVectorizedNetworkBitIdentity:
-    def test_forced_numpy_tracks_python_network(self):
+    def test_forced_numpy_tracks_python_network(self, monkeypatch):
+        monkeypatch.setattr(flows, "_VECTOR_MIN_WORK", 0)
         for case in range(40):
             _churn(
                 _SEED_BASE + 10_000 + case,
+                FlowNetwork(oracle=True),
                 FlowNetwork(),
-                FlowNetwork(vectorized=True, vector_min_flows=1),
             )
 
     def test_default_threshold_engages_above_floor(self):
-        """Sanity on the knob itself: the default picks per fill from
-        the work estimate; an explicit gate restores the size rule."""
-        assert VECTORIZE_MIN_FLOWS > 1
-        net = FlowNetwork(vectorized=True)
-        assert net.vector_min_flows is None  # per-fill heuristic
-        gated = FlowNetwork(vectorized=True,
-                            vector_min_flows=VECTORIZE_MIN_FLOWS)
-        assert gated.vector_min_flows == VECTORIZE_MIN_FLOWS
-
-    def test_explicit_gate_is_a_flat_size_rule(self):
-        net = FlowNetwork(vectorized=True, vector_min_flows=4)
-        few = [(f"f{i}", ("L",), None) for i in range(3)]
-        many = few + [("f3", ("L",), None)]
-        assert not net._use_vector_kernel(few, 1)
-        assert net._use_vector_kernel(many, 1)
+        """The chooser's threshold is on estimated work (rounds ×
+        rows): ``n`` uncapped flows on one link estimate one round
+        over ``n + 1`` rows, so the gate flips exactly where that
+        reaches ``_VECTOR_MIN_WORK``."""
+        net = FlowNetwork()
+        n = flows._VECTOR_MIN_WORK - 1
+        below = [(f"f{i}", ("L",), None) for i in range(n - 1)]
+        at = below + [(f"f{n - 1}", ("L",), None)]
+        assert not net._use_vector_kernel(below, 1)
+        assert net._use_vector_kernel(at, 1)
 
     def test_heuristic_sees_round_count_not_just_size(self):
         """A big component with one shared cap converges in ~2 rounds
         (stay in python); the same size as a staircase of distinct
         caps runs ~n rounds (vectorize).  A flat size gate cannot
         tell them apart."""
-        net = FlowNetwork(vectorized=True)
+        net = FlowNetwork()
         n = 80
         shared = [(f"f{i}", ("L",), 5.0) for i in range(n)]
         stairs = [(f"f{i}", ("L",), 1.0 + i) for i in range(n)]
@@ -173,25 +169,26 @@ class TestVectorizedNetworkBitIdentity:
         for case in range(20):
             _churn(
                 _SEED_BASE + 40_000 + case,
+                FlowNetwork(oracle=True),
                 FlowNetwork(),
-                FlowNetwork(vectorized=True),
             )
 
 
 class TestWarmNetworkBitIdentity:
-    def test_warm_tracks_cold_network(self):
+    def test_warm_tracks_cold_network(self, monkeypatch):
+        """The memo over pure-Python fills (numpy never chosen)."""
+        monkeypatch.setattr(flows, "_VECTOR_MIN_WORK", float("inf"))
         for case in range(40):
             _churn(
                 _SEED_BASE + 20_000 + case,
+                FlowNetwork(oracle=True),
                 FlowNetwork(),
-                FlowNetwork(warm=True, vectorized=True,
-                            vector_min_flows=1),
             )
 
     def test_counters_account_for_refills(self):
         """Re-creating the same component structure must hit the memo;
         hits + fallbacks bound the number of fills actually run."""
-        net = FlowNetwork(warm=True)
+        net = FlowNetwork()
         net.add_constraint("L", 90.0)
         net.add_flow("a", ("L",), None)  # fallback (structure unseen)
         net.add_flow("b", ("L",), None)  # fallback ({2 elastic} unseen)
@@ -203,7 +200,7 @@ class TestWarmNetworkBitIdentity:
         assert net.rate("a") == net.rate("c") == 45.0
 
     def test_warm_off_never_counts(self):
-        net = FlowNetwork()
+        net = FlowNetwork(oracle=True)
         net.add_constraint("L", 10.0)
         net.add_flow("a", ("L",), None)
         net.add_flow("b", ("L",), None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
+from repro.core import allocate
 from repro.io import (
     allocation_from_dict,
     allocation_to_dict,
@@ -55,7 +56,7 @@ class TestAllocationRoundTripProperties:
     @SLOW
     def test_allocation_costs_preserved(self, inst, seed):
         try:
-            result = repro.allocate(inst, "comp-greedy", rng=seed)
+            result = allocate(inst, "comp-greedy", rng=seed)
         except repro.ReproError:
             return
         back = allocation_from_dict(allocation_to_dict(result.allocation))
