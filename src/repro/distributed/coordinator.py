@@ -52,7 +52,7 @@ from typing import Any, Callable, Iterable
 
 from ..api.requests import FailureRecord
 from ..api.wire import recv_frame, send_frame
-from ..telemetry import get_logger, get_registry, record_span
+from ..telemetry import MetricsRegistry, get_logger, record_span, scrape
 from ..telemetry.trace import TRACE_STORE
 from .protocol import (
     MSG_AUTH,
@@ -76,30 +76,6 @@ from .protocol import (
 __all__ = ["Coordinator", "DistributedExecutor"]
 
 _log = get_logger("distributed.coordinator")
-
-# Fleet-level registry twins of the stats() counters (stats() stays
-# authoritative for its JSON shape; these feed the stats port's
-# GET /metrics).
-_REG = get_registry()
-_M_TASKS = _REG.counter(
-    "repro_coord_tasks_total",
-    "Coordinator task events by outcome.",
-    ("outcome",),
-)
-_M_WORKER_EVENTS = _REG.counter(
-    "repro_coord_worker_events_total",
-    "Worker fleet membership events.",
-    ("event",),
-)
-_M_WORKERS = _REG.gauge(
-    "repro_coord_workers", "Workers currently registered."
-)
-_M_PENDING = _REG.gauge(
-    "repro_coord_pending", "Tasks waiting for a worker slot."
-)
-_M_IN_FLIGHT = _REG.gauge(
-    "repro_coord_in_flight", "Tasks currently on workers."
-)
 
 #: Sentinel for a result slot not yet filled.
 _UNSET = object()
@@ -175,19 +151,21 @@ def _close_sock(sock: socket.socket) -> None:
 
 class _StatsServer:
     """Tiny threaded HTTP listener for the distributed tier's
-    observability: ``GET /metrics`` (Prometheus text from the global
-    registry) and ``GET /stats`` (the coordinator's JSON counters).
+    observability: ``GET /metrics`` (Prometheus text: the process-wide
+    families plus the coordinator's own registry) and ``GET /stats``
+    (the coordinator's JSON counters, a view over that registry).
     Runs beside the task socket so scraping never competes with frame
     traffic."""
 
     def __init__(self, host: str, port: int,
                  coordinator: "Coordinator") -> None:
         stats_of = coordinator.stats
+        metrics = coordinator.metrics
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 — http.server API
                 if self.path == "/metrics":
-                    body = get_registry().render().encode("utf8")
+                    body = scrape(metrics).encode("utf8")
                     ctype = "text/plain; version=0.0.4; charset=utf-8"
                 elif self.path == "/stats":
                     body = json.dumps(
@@ -288,15 +266,39 @@ class Coordinator:
         self._closed_event = threading.Event()
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
-        # counters (read under the lock for stats())
-        self._n_submitted = 0
-        self._n_completed = 0
-        self._n_retried = 0
-        self._n_requeued = 0
-        self._n_poisoned = 0
-        self._n_evicted = 0
-        self._n_departed = 0
-        self._n_registered = 0
+        #: The one source of the scheduling counters and fleet levels;
+        #: counters move under ``_cond`` so :meth:`stats` reads a
+        #: consistent view of them.
+        self.metrics = MetricsRegistry()
+        self._tasks = self.metrics.counter(
+            "repro_coord_tasks_total",
+            "Coordinator task events by outcome.",
+            ("outcome",),
+        )
+        self._worker_events = self.metrics.counter(
+            "repro_coord_worker_events_total",
+            "Worker fleet membership events.",
+            ("event",),
+        )
+        workers = self.metrics.gauge(
+            "repro_coord_workers", "Workers currently registered."
+        )
+        pending = self.metrics.gauge(
+            "repro_coord_pending", "Tasks waiting for a worker slot."
+        )
+        in_flight = self.metrics.gauge(
+            "repro_coord_in_flight", "Tasks currently on workers."
+        )
+
+        def collect_levels() -> None:  # refreshed at scrape time
+            with self._cond:
+                workers.set(len(self._workers))
+                pending.set(len(self._pending))
+                in_flight.set(sum(
+                    len(w.in_flight) for w in self._workers.values()
+                ))
+
+        self.metrics.register_collector(collect_levels)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -343,7 +345,6 @@ class Coordinator:
                 "stats listener on http://%s:%d (/metrics, /stats)",
                 self.host, self.stats_port,
             )
-        _REG.register_collector(self._collect_gauges)
         return self
 
     def close(self) -> None:
@@ -391,16 +392,6 @@ class Coordinator:
         if self._stats_server is not None:
             self._stats_server.close()
             self._stats_server = None
-        _REG.unregister_collector(self._collect_gauges)
-
-    def _collect_gauges(self) -> None:
-        """Scrape-time refresh of the fleet level gauges."""
-        with self._cond:
-            _M_WORKERS.set(len(self._workers))
-            _M_PENDING.set(len(self._pending))
-            _M_IN_FLIGHT.set(sum(
-                len(w.in_flight) for w in self._workers.values()
-            ))
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -444,8 +435,7 @@ class Coordinator:
                         trace_id=getattr(items[index], "trace_id", None),
                     )
                 )
-            self._n_submitted += len(items)
-            _M_TASKS.labels(outcome="submitted").inc(len(items))
+            self._tasks.labels(outcome="submitted").inc(len(items))
             self._cond.notify_all()
         batch.done.wait()
         return list(batch.slots)
@@ -540,8 +530,7 @@ class Coordinator:
     def _poison_locked(self, task: _Task) -> None:
         error = task.last_error or {}
         workers = sorted(task.failed_workers)
-        self._n_poisoned += 1
-        _M_TASKS.labels(outcome="poisoned").inc()
+        self._tasks.labels(outcome="poisoned").inc()
         _log.error(
             "poisoned task %s (id %d, trace %s) after %d attempt(s) on"
             " %s: %s",
@@ -658,9 +647,8 @@ class Coordinator:
                 last_seen=time.monotonic(),
             )
             self._workers[name] = conn
-            self._n_registered += 1
+            self._worker_events.labels(event="registered").inc()
             self._cond.notify_all()
-        _M_WORKER_EVENTS.labels(event="registered").inc()
         _log.info(
             "registered worker %s (pid %s, window %d)",
             name, conn.pid, conn.window,
@@ -725,8 +713,7 @@ class Coordinator:
             if task is None:
                 return  # stale: task was requeued away from this worker
             conn.n_completed += 1
-            self._n_completed += 1
-            _M_TASKS.labels(outcome="completed").inc()
+            self._tasks.labels(outcome="completed").inc()
             if msg.get("spans"):
                 # the worker's spans, stitched into the local store so
                 # `repro trace` shows the remote execution leg too
@@ -753,8 +740,7 @@ class Coordinator:
                     self.retry_backoff_max_s,
                 )
                 task.not_before = time.monotonic() + backoff
-                self._n_retried += 1
-                _M_TASKS.labels(outcome="retried").inc()
+                self._tasks.labels(outcome="retried").inc()
                 _log.warning(
                     "task %s (id %d, trace %s) raised on worker %s"
                     " (attempt %d of %d): %s — retrying in %.3fs",
@@ -794,20 +780,15 @@ class Coordinator:
             conn.in_flight.clear()
             for task in reversed(requeued):
                 self._pending.appendleft(task)
-            self._n_requeued += len(requeued)
-            if graceful:
-                self._n_departed += 1
-            else:
-                self._n_evicted += 1
+            if requeued:
+                self._tasks.labels(outcome="requeued").inc(len(requeued))
+            self._worker_events.labels(
+                event="departed" if graceful else "evicted"
+            ).inc()
             self._cond.notify_all()
         # logs sit after the membership check on purpose: close()
         # clears the worker table first, so a clean shutdown's
         # reader-loop evictions stay silent
-        _M_WORKER_EVENTS.labels(
-            event="departed" if graceful else "evicted"
-        ).inc()
-        if requeued:
-            _M_TASKS.labels(outcome="requeued").inc(len(requeued))
         log = _log.info if graceful else _log.warning
         log(
             "%s worker %s (%s): %d in-flight task(s) requeued%s",
@@ -840,8 +821,11 @@ class Coordinator:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """JSON-able scheduling counters + per-worker state."""
+        """JSON-able scheduling counters (a view over :attr:`metrics`)
+        + per-worker state."""
         with self._cond:
+            tasks = self._tasks.totals()
+            events = self._worker_events.totals()
             return {
                 "address": self.address,
                 "n_workers": len(self._workers),
@@ -849,14 +833,13 @@ class Coordinator:
                 "in_flight": sum(
                     len(w.in_flight) for w in self._workers.values()
                 ),
-                "submitted": self._n_submitted,
-                "completed": self._n_completed,
-                "retried": self._n_retried,
-                "requeued": self._n_requeued,
-                "poisoned": self._n_poisoned,
-                "evicted": self._n_evicted,
-                "departed": self._n_departed,
-                "registered": self._n_registered,
+                **{outcome: tasks.get((outcome,), 0) for outcome in (
+                    "submitted", "completed", "retried", "requeued",
+                    "poisoned",
+                )},
+                **{event: events.get((event,), 0) for event in (
+                    "evicted", "departed", "registered",
+                )},
                 "workers": {
                     w.name: {
                         "pid": w.pid,

@@ -15,9 +15,10 @@ Pieces (one module each):
   :class:`TokenBucket`, the :class:`TenantRegistry`;
 * :mod:`~repro.service.queueing` — the priority + weighted-fair-share
   :class:`FairQueue` (pure data structure);
-* :mod:`~repro.service.metrics` — counters and latency percentiles;
 * :mod:`~repro.service.broker` — :class:`AllocationService` itself
-  (admission, dispatch, execution, ``snapshot()``);
+  (admission, dispatch, execution; counters and latency percentiles
+  in its own :class:`~repro.telemetry.MetricsRegistry`, with
+  ``snapshot()`` a view over it);
 * :mod:`~repro.service.http` — the JSON-over-HTTP front door
   (``repro serve``);
 * :mod:`~repro.service.shard` — the sharded deployment:
@@ -45,6 +46,7 @@ Over HTTP: ``repro serve --port 8642`` on one side,
 :class:`HttpServiceClient`) on the other.
 """
 
+from ..telemetry.metrics import percentile
 from .broker import (
     AdmissionRejected,
     AllocationService,
@@ -58,7 +60,6 @@ from .client import (
     ServiceError,
 )
 from .http import BaseHTTPServer, ServiceHTTPServer
-from .metrics import LatencySeries, TenantMetrics, percentile
 from .queueing import FairQueue, QueuedTicket
 from .shard import (
     HttpShard,
@@ -84,7 +85,6 @@ __all__ = [
     "FairQueue",
     "HttpServiceClient",
     "HttpShard",
-    "LatencySeries",
     "LocalShard",
     "PendingResult",
     "QueuedTicket",
@@ -95,7 +95,6 @@ __all__ = [
     "ShardBackend",
     "ShardRouter",
     "TenantConfig",
-    "TenantMetrics",
     "TenantRegistry",
     "Ticket",
     "TokenBucket",

@@ -32,6 +32,13 @@ concurrently and schedules them onto the existing executor backends:
   answered at the door without touching the solver.  Hit/miss counts
   surface under ``service.cache`` in ``/stats``.
 
+Observability: each service owns a
+:class:`~repro.telemetry.metrics.MetricsRegistry` (:attr:`metrics`).
+Every count, latency and level is recorded there exactly once, at the
+site where it happens; ``/stats`` (:meth:`AllocationService.snapshot`),
+``/v1/shard/samples`` (:meth:`AllocationService.samples`) and
+``/metrics`` are read-only views over it.
+
 Determinism: the service adds no entropy.  A seeded request produces
 the *same* :class:`~repro.api.requests.SolveResult` (allocation,
 failure records, effective seed — everything except wall-clock
@@ -63,8 +70,8 @@ from ..api.requests import (
     SolveRequest,
     SweepRequest,
 )
-from ..telemetry import get_logger, get_registry, record_span
-from .metrics import summarize
+from ..telemetry import get_logger, record_span
+from ..telemetry.metrics import MetricsRegistry, summarize
 from .queueing import FairQueue, QueuedTicket
 from .tenants import TenantConfig, TenantRegistry, TenantState, tier_rank
 
@@ -78,47 +85,8 @@ __all__ = [
 
 _log = get_logger("service")
 
-# Registry-backed twins of the /stats counters (same recording sites;
-# TenantMetrics stays authoritative for /stats, whose payload must not
-# change — these feed GET /metrics).  Families are process-wide: every
-# AllocationService in the process records into the same series.
-_REG = get_registry()
-_M_REQUESTS = _REG.counter(
-    "repro_service_requests_total",
-    "Service requests by tenant and outcome.",
-    ("tenant", "outcome"),
-)
-_M_REJECTED = _REG.counter(
-    "repro_service_rejections_total",
-    "Admission rejections by stage.",
-    ("stage",),
-)
-_M_CACHE = _REG.counter(
-    "repro_service_cache_requests_total",
-    "Broker result-cache lookups by outcome.",
-    ("result",),
-)
-_M_PREEMPTIONS = _REG.counter(
-    "repro_service_preemptions_total",
-    "Bid-priced preemptions executed.",
-)
-_M_QUEUE_WAIT = _REG.histogram(
-    "repro_service_queue_wait_seconds",
-    "Queue wait per dispatched request.",
-)
-_M_SERVICE_TIME = _REG.histogram(
-    "repro_service_time_seconds",
-    "Execution time per completed request.",
-)
-_M_QUEUED = _REG.gauge(
-    "repro_service_queued", "Requests waiting in the fair queue."
-)
-_M_IN_FLIGHT = _REG.gauge(
-    "repro_service_in_flight", "Requests currently executing."
-)
-_M_CACHE_SIZE = _REG.gauge(
-    "repro_service_cache_entries", "Entries in the broker result cache."
-)
+#: Per-tenant request outcomes, in ``/stats`` row order.
+_OUTCOMES = ("admitted", "completed", "failed", "cancelled", "expired")
 
 
 class AdmissionRejected(Exception):
@@ -269,8 +237,6 @@ class AllocationService:
         #: :func:`request_cache_key`).
         self.cache_size = cache_size
         self._cache: "OrderedDict[str, object]" = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._clock = clock
         self.queue = FairQueue(weight_of=self._weight_of)
         self._tickets: dict[int, Ticket] = {}
@@ -282,11 +248,60 @@ class AllocationService:
         self._running_tasks: set[asyncio.Task] = set()
         self._closing = False
         self._started_at: float | None = None
+        #: The one source of every count, latency and level below.
         #: Rejections with no tenant state to charge them to (unknown
-        #: tenant on a closed registry, submits while not running) —
-        #: without this, /stats shows zero rejects while a locked-down
-        #: service turns away all traffic.
-        self._unattributed_rejections: dict[str, int] = {}
+        #: tenant on a closed registry, submits while not running) get
+        #: an empty ``tenant`` label, never the name the client sent —
+        #: that keeps label cardinality bounded by the tenant registry.
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter(
+            "repro_service_requests_total",
+            "Service requests by tenant and outcome.",
+            ("tenant", "outcome"),
+        )
+        self._rejections = self.metrics.counter(
+            "repro_service_rejections_total",
+            "Admission rejections by tenant and stage (tenant is empty"
+            " when no registered tenant can be charged).",
+            ("tenant", "stage"),
+        )
+        self._cache_lookups = self.metrics.counter(
+            "repro_service_cache_requests_total",
+            "Broker result-cache lookups by outcome.",
+            ("result",),
+        )
+        self._preemptions = self.metrics.counter(
+            "repro_service_preemptions_total",
+            "Bid-priced preemptions executed, by bidding tenant.",
+            ("tenant",),
+        )
+        self._queue_wait = self.metrics.histogram(
+            "repro_service_queue_wait_seconds",
+            "Queue wait per dispatched request.",
+            ("tenant",),
+        )
+        self._service_time = self.metrics.histogram(
+            "repro_service_time_seconds",
+            "Execution time per completed request.",
+            ("tenant",),
+        )
+        queued = self.metrics.gauge(
+            "repro_service_queued", "Requests waiting in the fair queue."
+        )
+        in_flight = self.metrics.gauge(
+            "repro_service_in_flight", "Requests currently executing."
+        )
+        cache_entries = self.metrics.gauge(
+            "repro_service_cache_entries",
+            "Entries in the broker result cache.",
+        )
+
+        def collect_levels() -> None:  # refreshed at scrape time
+            queued.set(len(self.queue))
+            in_flight.set(self._in_flight)
+            cache_entries.set(len(self._cache))
+
+        self.metrics.register_collector(collect_levels)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -310,7 +325,6 @@ class AllocationService:
             self._dispatch_loop()
         )
         self._started_at = self._clock()
-        _REG.register_collector(self._collect_gauges)
 
     async def aclose(self) -> None:
         """Stop accepting work, cancel everything queued, wait for
@@ -331,22 +345,23 @@ class AllocationService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        _REG.unregister_collector(self._collect_gauges)
 
-    def _collect_gauges(self) -> None:
-        """Scrape-time refresh of the level gauges (collector hook)."""
-        _M_QUEUED.set(len(self.queue))
-        _M_IN_FLIGHT.set(self._in_flight)
-        _M_CACHE_SIZE.set(len(self._cache))
+    def _count(self, tenant: str, outcome: str) -> None:
+        self._requests.labels(tenant=tenant, outcome=outcome).inc()
+
+    def _reject(self, state: "TenantState | None", tenant: str,
+                stage: str, message: str,
+                detail: dict | None = None) -> AdmissionRejected:
+        """Count one rejection — charged to ``state``'s tenant, or
+        unattributed without one — and build the exception to raise."""
+        self._rejections.labels(
+            tenant="" if state is None else state.name, stage=stage
+        ).inc()
+        return _rejection(tenant, stage, message, detail)
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-
-    def _count_unattributed(self, stage: str) -> None:
-        self._unattributed_rejections[stage] = (
-            self._unattributed_rejections.get(stage, 0) + 1
-        )
 
     def _weight_of(self, tenant: str) -> int:
         state = self.registry.get(tenant)
@@ -412,15 +427,15 @@ class AllocationService:
         if not self.queue.cancel(victim_ticket.queued):
             return None
         victim_state.n_queued -= 1
-        victim_state.metrics.preempted += 1
         victim_state.ensure_account().credit(
             bid, "preemption-credit",
             detail=f"evicted by {by} (ticket #{victim_ticket.id})",
         )
         self._tickets.pop(victim_ticket.id, None)
+        self._count(victim_ticket.tenant, "preempted")
         victim_ticket.future.set_exception(
-            _rejection(
-                victim_ticket.tenant, "preempted",
+            self._reject(
+                victim_state, victim_ticket.tenant, "preempted",
                 f"request #{victim_ticket.id} was preempted by a"
                 f" higher-tier bid from {by!r}; the account of"
                 f" {victim_ticket.tenant!r} was credited"
@@ -429,11 +444,6 @@ class AllocationService:
                         "compensation": bid},
             )
         )
-        _M_PREEMPTIONS.inc()
-        _M_REJECTED.labels(stage="preempted").inc()
-        _M_REQUESTS.labels(
-            tenant=victim_ticket.tenant, outcome="preempted"
-        ).inc()
         _log.info(
             "preempted ticket #%d of %s for a bid of %g from %s",
             victim_ticket.id, victim_ticket.tenant, bid, by,
@@ -448,7 +458,7 @@ class AllocationService:
         state = self.registry.get(tenant)
         if state is None:
             return
-        state.metrics.preemptions += 1
+        self._preemptions.labels(tenant=tenant).inc()
         state.ensure_account().charge(
             bid, "preemption-bid",
             detail=f"evicted {victim}"
@@ -492,18 +502,16 @@ class AllocationService:
         (including cache hits, which resolve *after* this) pay."""
         state = self.registry.get(tenant)
         if state is None:
-            self._count_unattributed("unknown-tenant")
-            raise _rejection(
-                tenant, "unknown-tenant",
+            raise self._reject(
+                None, tenant, "unknown-tenant",
                 f"tenant {tenant!r} is not registered (the registry is"
                 f" closed to new tenants, or the auto-registration cap"
                 f" was reached)",
             )
         config = state.config
         if state.n_queued >= config.max_queued:
-            state.metrics.record_rejection("queue-full")
-            raise _rejection(
-                tenant, "queue-full",
+            raise self._reject(
+                state, tenant, "queue-full",
                 f"tenant {tenant!r} already has {state.n_queued} requests"
                 f" queued (quota {config.max_queued})",
                 detail={"queued": state.n_queued,
@@ -513,9 +521,8 @@ class AllocationService:
             len(self.queue) >= self.max_queue_depth
             and not self._try_preempt(state, bid)
         ):
-            state.metrics.record_rejection("service-queue-full")
-            raise _rejection(
-                tenant, "service-queue-full",
+            raise self._reject(
+                state, tenant, "service-queue-full",
                 f"service queue is full ({len(self.queue)} of"
                 f" {self.max_queue_depth})",
                 detail={"queued": len(self.queue),
@@ -529,9 +536,8 @@ class AllocationService:
             and state.account is not None
             and not state.account.can_afford(price)
         ):
-            state.metrics.record_rejection("insufficient-funds")
-            raise _rejection(
-                tenant, "insufficient-funds",
+            raise self._reject(
+                state, tenant, "insufficient-funds",
                 f"tenant {tenant!r} cannot afford the admission price"
                 f" ({price:g}; balance"
                 f" {state.account.balance:g})",
@@ -542,9 +548,8 @@ class AllocationService:
         # capacity (possibly other tenants' congestion) must not also
         # burn one of this tenant's rate-limit tokens
         if state.bucket is not None and not state.bucket.try_take():
-            state.metrics.record_rejection("rate-limit")
-            raise _rejection(
-                tenant, "rate-limit",
+            raise self._reject(
+                state, tenant, "rate-limit",
                 f"tenant {tenant!r} exceeded its rate limit"
                 f" ({config.rate_per_s:g}/s, burst {config.burst})",
                 detail={"rate_per_s": config.rate_per_s,
@@ -580,16 +585,13 @@ class AllocationService:
         trace_id = getattr(request, "trace_id", None)
         wall = time.time()
         if self._closing or not self.started:
-            self._count_unattributed("not-running")
-            _M_REJECTED.labels(stage="not-running").inc()
-            raise _rejection(
-                tenant, "not-running",
+            raise self._reject(
+                None, tenant, "not-running",
                 "the service is not accepting requests",
             )
         try:
             state = self._admit(tenant, bid)
         except AdmissionRejected as err:
-            _M_REJECTED.labels(stage=err.record.stage).inc()
             record_span(
                 "service.admission", trace_id,
                 start=wall, duration_s=time.time() - wall,
@@ -621,12 +623,9 @@ class AllocationService:
             # resolved at the door: admission (quota, rate limit) was
             # still charged, but the solver never runs
             self._cache.move_to_end(key)
-            self._cache_hits += 1
-            state.metrics.admitted += 1
-            state.metrics.completed += 1
-            _M_CACHE.labels(result="hit").inc()
-            _M_REQUESTS.labels(tenant=tenant, outcome="admitted").inc()
-            _M_REQUESTS.labels(tenant=tenant, outcome="completed").inc()
+            self._cache_lookups.labels(result="hit").inc()
+            self._count(tenant, "admitted")
+            self._count(tenant, "completed")
             record_span(
                 "service.admission", trace_id,
                 start=wall, duration_s=time.time() - wall,
@@ -646,14 +645,12 @@ class AllocationService:
             ticket.future.set_result(cached)
             return ticket
         if key is not None:
-            self._cache_misses += 1
-            _M_CACHE.labels(result="miss").inc()
+            self._cache_lookups.labels(result="miss").inc()
             ticket.cache_key = key
         self._tickets[ticket_id] = ticket
         self.queue.push(queued)
         state.n_queued += 1
-        state.metrics.admitted += 1
-        _M_REQUESTS.labels(tenant=tenant, outcome="admitted").inc()
+        self._count(tenant, "admitted")
         record_span(
             "service.admission", trace_id,
             start=wall, duration_s=time.time() - wall,
@@ -679,8 +676,7 @@ class AllocationService:
             return False
         state = self.registry.get(ticket.tenant)
         state.n_queued -= 1
-        state.metrics.cancelled += 1
-        _M_REQUESTS.labels(tenant=ticket.tenant, outcome="cancelled").inc()
+        self._count(ticket.tenant, "cancelled")
         ticket.future.cancel()
         self._tickets.pop(ticket.id, None)
         return True
@@ -716,10 +712,7 @@ class AllocationService:
             state.n_queued -= 1
             now = self._clock()
             if ticket.deadline is not None and now > ticket.deadline:
-                state.metrics.expired += 1
-                _M_REQUESTS.labels(
-                    tenant=ticket.tenant, outcome="expired"
-                ).inc()
+                self._count(ticket.tenant, "expired")
                 record_span(
                     "service.queue", getattr(
                         ticket.request, "trace_id", None
@@ -740,8 +733,9 @@ class AllocationService:
                     )
                 )
                 continue
-            state.metrics.queue_wait.record(now - ticket.enqueued_at)
-            _M_QUEUE_WAIT.observe(now - ticket.enqueued_at)
+            self._queue_wait.labels(tenant=ticket.tenant).observe(
+                now - ticket.enqueued_at
+            )
             record_span(
                 "service.queue", getattr(ticket.request, "trace_id", None),
                 start=ticket.enqueued_wall,
@@ -779,8 +773,7 @@ class AllocationService:
                     )
                 )[0]
         except BaseException as err:  # noqa: BLE001 — relayed, not hidden
-            state.metrics.failed += 1
-            _M_REQUESTS.labels(tenant=ticket.tenant, outcome="failed").inc()
+            self._count(ticket.tenant, "failed")
             record_span(
                 "service.execute", trace_id,
                 start=wall, duration_s=self._clock() - start,
@@ -791,22 +784,16 @@ class AllocationService:
             if not ticket.future.done():
                 ticket.future.set_exception(err)
         else:
-            state.metrics.completed += 1
-            _M_REQUESTS.labels(
-                tenant=ticket.tenant, outcome="completed"
-            ).inc()
+            self._count(ticket.tenant, "completed")
             if getattr(result, "ok", True) is False:
                 # a completed solve whose every strategy failed — the
                 # result carries the records; count it for /stats
-                state.metrics.failed += 1
-                _M_REQUESTS.labels(
-                    tenant=ticket.tenant, outcome="failed"
-                ).inc()
-            state.metrics.service_time.record(self._clock() - start)
-            _M_SERVICE_TIME.observe(self._clock() - start)
+                self._count(ticket.tenant, "failed")
+            elapsed = self._clock() - start
+            self._service_time.labels(tenant=ticket.tenant).observe(elapsed)
             record_span(
                 "service.execute", trace_id,
-                start=wall, duration_s=self._clock() - start,
+                start=wall, duration_s=elapsed,
                 tenant=ticket.tenant, ticket=ticket.id,
                 backend=self.executor.name,
             )
@@ -839,52 +826,92 @@ class AllocationService:
         """Requests currently executing."""
         return self._in_flight
 
+    def _queue_waits(self) -> "tuple[list[float], int]":
+        """Every registered tenant's retained queue-wait window,
+        concatenated in registry order, and the lifetime count."""
+        children = self._queue_wait.children()
+        window: list[float] = []
+        total = 0
+        for state in self.registry:
+            child = children.get((state.name,))
+            if child is not None:
+                window.extend(child.values)
+                total += child.count
+        return window, total
+
     def samples(self) -> dict:
         """Raw retained queue-wait samples (and the lifetime count they
         were drawn from), concatenated across tenants.  A router merges
         these windows across shards and recomputes the percentiles —
         shard-local p99s cannot be averaged into a fleet p99."""
-        waits: list[float] = []
-        total = 0
-        for state in self.registry:
-            waits.extend(state.metrics.queue_wait.values)
-            total += state.metrics.queue_wait.total_recorded
+        waits, total = self._queue_waits()
         return {"queue_wait": waits, "queue_wait_total": total}
 
     def snapshot(self) -> dict:
-        """JSON-able service + per-tenant state for ``/stats``."""
-        tenants = self.registry.snapshot()
-        totals = {
-            "admitted": 0, "completed": 0, "failed": 0,
-            "cancelled": 0, "expired": 0, "rejected": 0,
-        }
-        # cross-tenant aggregate: concatenate every tenant's retained
-        # window (re-recording into a second capped series would keep
-        # only the last tenants' samples)
-        all_waits: list[float] = []
-        waits_total = 0
-        preempted = 0
+        """JSON-able service + per-tenant state for ``/stats``: a view
+        over :attr:`metrics` plus the live queue, tenant and account
+        state."""
+        requests = self._requests.totals()
+        preemptions = self._preemptions.totals()
+        waits = self._queue_wait.children()
+        times = self._service_time.children()
+        # preemption victims were admitted, not turned away at the
+        # door: they count as "preempted", never as "rejected"
+        rejected: dict[str, dict[str, int]] = {}
+        for (tenant, stage), n in sorted(self._rejections.totals().items()):
+            if stage != "preempted":
+                rejected.setdefault(tenant, {})[stage] = n
+        unattributed = rejected.get("", {})
+        totals = dict.fromkeys(_OUTCOMES + ("rejected",), 0)
+        totals["rejected"] = sum(unattributed.values())
+        preempted_total = 0
         spent = 0.0
+        tenants = {}
         for state in self.registry:
-            m = state.metrics
-            totals["admitted"] += m.admitted
-            totals["completed"] += m.completed
-            totals["failed"] += m.failed
-            totals["cancelled"] += m.cancelled
-            totals["expired"] += m.expired
-            totals["rejected"] += m.n_rejected
-            preempted += m.preempted
+            name, config = state.name, state.config
+            row = {
+                "weight": config.weight,
+                "max_in_flight": config.max_in_flight,
+                "max_queued": config.max_queued,
+                "rate_per_s": config.rate_per_s,
+                "burst": config.burst,
+                "queued": state.n_queued,
+                "in_flight": state.n_in_flight,
+            }
+            for outcome in _OUTCOMES:
+                row[outcome] = requests.get((name, outcome), 0)
+                totals[outcome] += row[outcome]
+            row["rejected"] = rejected.get(name, {})
+            row["n_rejected"] = sum(row["rejected"].values())
+            totals["rejected"] += row["n_rejected"]
+            # market counters only appear once bidding happens, keeping
+            # pre-market snapshots byte-identical
+            preempted = requests.get((name, "preempted"), 0)
+            preempted_total += preempted
+            if preempted:
+                row["preempted"] = preempted
+            if preemptions.get((name,)):
+                row["preemptions"] = preemptions[(name,)]
+            for key, children in (("queue_wait_s", waits),
+                                  ("service_time_s", times)):
+                child = children.get((name,))
+                if child is not None:
+                    row[key] = child.summary()
+            if config.tier != "standard":
+                row["tier"] = config.tier
+            if config.admission_price:
+                row["admission_price"] = config.admission_price
             if state.account is not None:
+                row["account"] = state.account.snapshot()
                 spent += state.account.spent
-            all_waits.extend(m.queue_wait.values)
-            waits_total += m.queue_wait.total_recorded
-        totals["rejected"] += sum(self._unattributed_rejections.values())
+            tenants[name] = row
         # economy totals only appear once money moved — pre-market
         # /stats payloads stay byte-identical
-        if preempted:
-            totals["preempted"] = preempted
+        if preempted_total:
+            totals["preempted"] = preempted_total
         if spent:
             totals["spent"] = round(spent, 6)
+        cache = self._cache_lookups.totals()
         out = {
             "service": {
                 "backend": self.executor.name,
@@ -896,8 +923,8 @@ class AllocationService:
                 "cache": {
                     "capacity": self.cache_size,
                     "size": len(self._cache),
-                    "hits": self._cache_hits,
-                    "misses": self._cache_misses,
+                    "hits": cache.get(("hit",), 0),
+                    "misses": cache.get(("miss",), 0),
                 },
                 "uptime_s": (
                     round(self._clock() - self._started_at, 3)
@@ -906,12 +933,10 @@ class AllocationService:
                 ),
             },
             "totals": totals,
-            "unattributed_rejections": dict(
-                sorted(self._unattributed_rejections.items())
-            ),
+            "unattributed_rejections": unattributed,
             "tenants": tenants,
         }
-        queue_wait = summarize(all_waits, waits_total)
+        queue_wait = summarize(*self._queue_waits())
         if queue_wait is not None:
             out["service"]["queue_wait_s"] = queue_wait
         return out

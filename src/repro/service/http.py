@@ -29,7 +29,8 @@ GET       /v1/result/<id>   → the async ticket's state: ``status`` is
 POST      /v1/tenants       a :class:`~repro.service.tenants.TenantConfig`
                               as JSON → registers/reconfigures a tenant
 GET       /metrics          → the process-wide
-                              :mod:`repro.telemetry` registry in
+                              :mod:`repro.telemetry` families followed
+                              by this service's own registry, in
                               Prometheus text exposition format (the
                               one non-JSON route)
 GET       /v1/trace/<id>    → ``{"trace_id", "spans": [...]}`` — every
@@ -64,7 +65,7 @@ from ..api.wire import (
     _reject_unknown,
     request_from_wire,
 )
-from ..telemetry import get_registry, span_to_dict
+from ..telemetry import scrape, span_to_dict
 from ..telemetry.trace import TRACE_STORE
 from .broker import AdmissionRejected, AllocationService
 from .tenants import TenantConfig, tier_rank
@@ -360,7 +361,7 @@ class ServiceHTTPServer(BaseHTTPServer):
         if path == "/stats" and method == "GET":
             return 200, self.service.snapshot()
         if path == "/metrics" and method == "GET":
-            return 200, _PlainText(get_registry().render())
+            return 200, _PlainText(scrape(self.service.metrics))
         if path.startswith("/v1/trace/") and method == "GET":
             trace_id = path[len("/v1/trace/"):]
             spans = TRACE_STORE.get(trace_id)

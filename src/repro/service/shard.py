@@ -49,10 +49,10 @@ from typing import Callable, Mapping, Sequence
 
 from ..api.requests import FailureRecord
 from ..telemetry import get_logger, get_registry, record_span
+from ..telemetry.metrics import _escape_label, summarize
 from ..telemetry.trace import TRACE_STORE, span_to_dict
 from .broker import AllocationService
 from .http import BaseHTTPServer, ServiceHTTPServer, _PlainText
-from .metrics import summarize
 from .tenants import TenantConfig
 
 __all__ = [
@@ -135,8 +135,8 @@ class ShardBackend:
     behind a socket."""
 
     name: str = "shard"
-    #: True when this shard records into the process-wide telemetry
-    #: registry/trace store (no scrape-and-merge needed for it).
+    #: True when this shard records into the process-wide trace store
+    #: (no trace fetch needed for it).
     shares_process_state: bool = False
 
     async def start(self) -> None:
@@ -155,6 +155,15 @@ class ShardBackend:
     ) -> "tuple[int, object]":
         raw = b"" if body is None else json.dumps(body).encode("utf8")
         return await self.request(method, path, raw)
+
+    async def scrape_metrics(self) -> "str | None":
+        """This shard's Prometheus exposition for the router to label
+        and merge (``None`` when unreachable): the shard process's
+        whole ``/metrics`` scrape."""
+        status, payload = await self.request("GET", "/metrics", b"")
+        if status == 200 and isinstance(payload, _PlainText):
+            return payload.text
+        return None
 
 
 class LocalShard(ShardBackend):
@@ -192,6 +201,11 @@ class LocalShard(ShardBackend):
         self, method: str, path: str, raw: bytes
     ) -> "tuple[int, object]":
         return await self.app.dispatch(method, path, raw)
+
+    async def scrape_metrics(self) -> str:
+        """The service's own registry only: this process's process-level
+        families belong to the router's scrape, rendered there once."""
+        return self.service.metrics.render()
 
 
 class HttpShard(ShardBackend):
@@ -257,16 +271,10 @@ class HttpShard(ShardBackend):
 # /metrics merging
 # ----------------------------------------------------------------------
 
-def _label_escape(value: str) -> str:
-    return (
-        value.replace("\\", r"\\").replace('"', r'\"')
-    )
-
-
 def _label_sample(line: str, shard: str) -> str:
     """Inject a ``shard="..."`` label into one exposition sample."""
     name_part, _, value = line.rpartition(" ")
-    shard_label = f'shard="{_label_escape(shard)}"'
+    shard_label = f'shard="{_escape_label(shard)}"'
     if "{" in name_part:
         name, _, rest = name_part.partition("{")
         return f"{name}{{{shard_label},{rest} {value}"
@@ -841,20 +849,14 @@ class ShardRouter:
         return 200, out
 
     async def _metrics(self) -> "tuple[int, object]":
-        if all(shard.shares_process_state for shard in self.shards):
-            # in-process shards all record into the process-wide
-            # registry — the local render *is* the merged scrape
-            return 200, _PlainText(get_registry().render())
-        texts: list[tuple[str, str]] = []
-        for shard in self.shards:
-            if shard.shares_process_state:
-                continue
-            status, payload = await shard.request("GET", "/metrics", b"")
-            if status == 200 and isinstance(payload, _PlainText):
-                texts.append((shard.name, payload.text))
-        return 200, _PlainText(
-            merge_metrics_texts(texts, get_registry().render())
+        texts = await asyncio.gather(
+            *(shard.scrape_metrics() for shard in self.shards)
         )
+        return 200, _PlainText(merge_metrics_texts(
+            [(name, text) for name, text in zip(self._names, texts)
+             if text is not None],
+            get_registry().render(),
+        ))
 
     async def _trace(self, trace_id: str) -> "tuple[int, object]":
         spans = [span_to_dict(s) for s in TRACE_STORE.get(trace_id)]

@@ -3,7 +3,9 @@
 Each tenant of the allocation service is described by a frozen
 :class:`TenantConfig` (weight, concurrency quota, queue-depth quota,
 token-bucket rate limit) and tracked at runtime by a
-:class:`TenantState` (live counters, the bucket, per-tenant metrics).
+:class:`TenantState` (live queue levels, the bucket, the account).
+Per-tenant counters and latencies live in the owning service's metrics
+registry, keyed by tenant name.
 The :class:`TenantRegistry` resolves tenant names at admission time;
 unknown tenants are auto-registered with the registry's default
 config (the open-door mode every test and quickstart wants) unless
@@ -18,11 +20,10 @@ single-writer discipline the broker's queues rely on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from ..market.accounts import Account
-from .metrics import TenantMetrics
 
 __all__ = [
     "TIER_RANK",
@@ -170,11 +171,10 @@ class TokenBucket:
 
 @dataclass
 class TenantState:
-    """Runtime counters of one registered tenant."""
+    """Runtime state of one registered tenant."""
 
     config: TenantConfig
     bucket: TokenBucket | None
-    metrics: TenantMetrics = field(default_factory=TenantMetrics)
     #: Requests currently queued (broker-maintained).
     n_queued: int = 0
     #: Requests currently being executed (broker-maintained).
@@ -236,9 +236,10 @@ class TenantRegistry:
 
     def register(self, config: TenantConfig) -> TenantState:
         """Add or reconfigure a tenant.  Reconfiguring keeps live
-        counters and metrics but rebuilds the token bucket (new quota,
-        fresh burst); the account survives unless its budget terms
-        changed (a new budget is a new contract — fresh balance)."""
+        levels (and the service's counters, which are keyed by name)
+        but rebuilds the token bucket (new quota, fresh burst); the
+        account survives unless its budget terms changed (a new budget
+        is a new contract — fresh balance)."""
         existing = self._tenants.get(config.name)
         bucket = (
             TokenBucket(config.rate_per_s, config.burst, clock=self._clock)
@@ -282,32 +283,6 @@ class TenantRegistry:
 
     def __len__(self) -> int:
         return len(self._tenants)
-
-    def snapshot(self) -> dict:
-        """JSON-able view of every tenant's config and counters."""
-        out = {}
-        for state in self:
-            config = state.config
-            row = {
-                "weight": config.weight,
-                "max_in_flight": config.max_in_flight,
-                "max_queued": config.max_queued,
-                "rate_per_s": config.rate_per_s,
-                "burst": config.burst,
-                "queued": state.n_queued,
-                "in_flight": state.n_in_flight,
-                **state.metrics.snapshot(),
-            }
-            # market keys appear only when the economy is in play, so
-            # pre-market snapshots stay byte-identical
-            if config.tier != "standard":
-                row["tier"] = config.tier
-            if config.admission_price:
-                row["admission_price"] = config.admission_price
-            if state.account is not None:
-                row["account"] = state.account.snapshot()
-            out[config.name] = row
-        return out
 
 
 def parse_tenant_spec(spec: str) -> TenantConfig:

@@ -5,10 +5,11 @@ Three stdlib-only pillars (ISSUE 9):
 * :mod:`repro.telemetry.trace` — ``span()`` context manager, the
   bounded :data:`TRACE_STORE`, trace-id generation/propagation, and
   the ``repro trace`` tree renderer;
-* :mod:`repro.telemetry.metrics` — process-wide
-  :class:`MetricsRegistry` (counters / gauges / histograms) with a
-  Prometheus text renderer behind ``GET /metrics``, and the single
-  home of :func:`percentile`;
+* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry`
+  (counters / gauges / histograms; one per standing component plus the
+  process-wide :data:`REGISTRY`) with a Prometheus text renderer
+  behind ``GET /metrics``, and the single home of :func:`percentile`
+  and :func:`summarize`;
 * :mod:`repro.telemetry.logs` — ``configure_logging`` behind
   ``repro --log-level`` / ``REPRO_LOG``.
 
@@ -28,6 +29,8 @@ from repro.telemetry.metrics import (
     REGISTRY,
     get_registry,
     percentile,
+    scrape,
+    summarize,
 )
 from repro.telemetry.trace import (
     Span,
@@ -63,9 +66,11 @@ __all__ = [
     "percentile",
     "record_span",
     "render_trace",
+    "scrape",
     "set_enabled",
     "set_slow_span_threshold",
     "span",
     "span_from_dict",
     "span_to_dict",
+    "summarize",
 ]

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry with Prometheus text exposition.
+"""Metrics registries with Prometheus text exposition.
 
 Three instrument kinds, modelled on the Prometheus client data model
 but stdlib-only:
@@ -9,9 +9,15 @@ but stdlib-only:
   connected workers), optionally computed lazily at scrape time via
   :meth:`MetricsRegistry.register_collector`;
 * :class:`Histogram` — fixed cumulative buckets plus a bounded sample
-  window whose :meth:`~Histogram.summary` reuses the service's
-  :func:`percentile` (this module is now that function's single home;
-  ``repro.service.metrics`` re-exports it).
+  window whose :meth:`~Histogram.summary` is :func:`summarize` over
+  :func:`percentile` (this module is the single home of both).
+
+Standing components (each ``AllocationService``, each
+``Coordinator``) own a :class:`MetricsRegistry` and record every count
+and latency into it exactly once; their JSON stats are read-only views
+over it.  The process-wide :data:`REGISTRY` keeps only process-level
+families (the simulator's ``repro_sim_*``), and :func:`scrape` renders
+it in front of one component's own registry for ``GET /metrics``.
 
 All instruments support Prometheus-style labels: the object returned
 by ``registry.counter(...)`` is the *family*; ``family.labels(x="y")``
@@ -41,6 +47,8 @@ __all__ = [
     "REGISTRY",
     "get_registry",
     "percentile",
+    "scrape",
+    "summarize",
 ]
 
 
@@ -65,14 +73,34 @@ def percentile(values: "list[float] | tuple[float, ...]", q: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
 
 
+def summarize(
+    window: "list[float]", total: int, digits: int = 6
+) -> "dict | None":
+    """``{count, window, mean, p50, p90, p99, max}`` of a sample window
+    (``total`` = the lifetime sample count it was drawn from), or
+    ``None`` when the window is empty."""
+    if not window:
+        return None
+    return {
+        "count": total,
+        "window": len(window),
+        "mean": round(sum(window) / len(window), digits),
+        "p50": round(percentile(window, 50.0), digits),
+        "p90": round(percentile(window, 90.0), digits),
+        "p99": round(percentile(window, 99.0), digits),
+        "max": round(max(window), digits),
+    }
+
+
 #: Default histogram buckets (seconds) — spans the service's latency
 #: range from sub-millisecond cache hits to multi-second ILP solves.
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0
 )
 
-#: Samples a histogram retains for percentile summaries.
-SUMMARY_WINDOW = 1024
+#: Samples a histogram retains for percentile summaries; a standing
+#: service must not grow one float per request forever.
+SUMMARY_WINDOW = 4096
 
 _VALID_NAME = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_:"
@@ -158,6 +186,12 @@ class _Family:
     def _make_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
+    def children(self) -> dict:
+        """``{label values: child}`` for every child created so far;
+        reading never creates one."""
+        with self._lock:
+            return dict(self._children)
+
     def _samples(self) -> "list[tuple[str, float]]":
         """``(labelled-suffix, value)`` pairs for the renderer."""
         out: list = []
@@ -172,10 +206,11 @@ class _CounterChild:
     __slots__ = ("_value", "_lock")
 
     def __init__(self) -> None:
-        self._value = 0.0
+        # whole-count increments keep the total an int
+        self._value = 0
         self._lock = threading.Lock()
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
@@ -197,12 +232,18 @@ class Counter(_Family):
     def _make_child(self) -> _CounterChild:
         return _CounterChild()
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         self._default().inc(amount)
 
     @property
     def value(self) -> float:
         return self._default().value
+
+    def totals(self) -> "dict[tuple[str, ...], float]":
+        """``{label values: total}`` of every child bumped so far."""
+        return {
+            key: child.value for key, child in self.children().items()
+        }
 
 
 class _GaugeChild:
@@ -286,24 +327,19 @@ class _HistogramChild:
     def sum(self) -> float:
         return self._sum
 
+    @property
+    def values(self) -> "list[float]":
+        """The retained window, oldest first."""
+        with self._lock:
+            return list(self._window)
+
     def summary(self, digits: int = 6) -> "dict | None":
-        """Percentile digest of the retained window (same shape as
-        :func:`repro.service.metrics.summarize`) or ``None`` if no
+        """:func:`summarize` of the retained window, or ``None`` if no
         observations yet."""
         with self._lock:
             window = list(self._window)
             total = self._count
-        if not window:
-            return None
-        return {
-            "count": total,
-            "window": len(window),
-            "mean": round(sum(window) / len(window), digits),
-            "p50": round(percentile(window, 50.0), digits),
-            "p90": round(percentile(window, 90.0), digits),
-            "p99": round(percentile(window, 99.0), digits),
-            "max": round(max(window), digits),
-        }
+        return summarize(window, total, digits)
 
     def _render(self, name, labelnames, key):
         out = []
@@ -431,7 +467,8 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """The Prometheus text exposition format, ready to serve with
-        ``Content-Type: text/plain; version=0.0.4``."""
+        ``Content-Type: text/plain; version=0.0.4`` (empty when no
+        family is registered, so renders concatenate cleanly)."""
         with self._lock:
             collectors = list(self._collectors)
             families = sorted(self._families.items())
@@ -447,12 +484,18 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {family.kind}")
             for sample_name, value in family._samples():
                 lines.append(f"{sample_name} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
+        return "".join(line + "\n" for line in lines)
 
 
-#: The process-wide registry every instrumented component records into.
+#: The process-wide registry: process-level families only.
 REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
+
+
+def scrape(registry: MetricsRegistry) -> str:
+    """One component's ``GET /metrics`` body: the process-wide families
+    followed by the component's own ``registry``."""
+    return REGISTRY.render() + registry.render()

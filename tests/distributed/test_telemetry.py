@@ -169,6 +169,44 @@ class TestCoordinatorStatsPort:
             assert stats["n_workers"] == 2
             assert fetch("/nope")[0] == 404
 
+    def test_two_coordinators_report_only_their_own(self, fleet):
+        """Each coordinator records into its own registry: two in one
+        process never add up or overwrite each other's levels."""
+        import http.client
+
+        def scrape(executor):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", executor.coordinator.stats_port, timeout=30
+            )
+            try:
+                conn.request("GET", "/metrics")
+                return conn.getresponse().read().decode("utf8")
+            finally:
+                conn.close()
+
+        with fleet(1, coordinator={"stats_port": 0}) as (one, _), \
+                fleet(2, coordinator={"stats_port": 0}) as (two, _):
+            one.map(_traced_square, [_TracedTask(value=v) for v in range(3)])
+            two.map(_traced_square, [_TracedTask(value=v) for v in range(5)])
+            for executor, workers, tasks in ((one, 1, 3), (two, 2, 5)):
+                stats = executor.stats()
+                assert (stats["n_workers"], stats["registered"]) == (
+                    workers, workers
+                )
+                assert (stats["submitted"], stats["completed"]) == (
+                    tasks, tasks
+                )
+                text = scrape(executor)
+                assert f"repro_coord_workers {workers}\n" in text
+                assert (
+                    f'repro_coord_tasks_total{{outcome="submitted"}}'
+                    f" {tasks}\n"
+                ) in text
+                assert (
+                    f'repro_coord_worker_events_total{{event="registered"}}'
+                    f" {workers}\n"
+                ) in text
+
 
 class TestSigkillPropagation:
     def test_trace_survives_worker_sigkill(self):

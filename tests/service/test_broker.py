@@ -395,10 +395,10 @@ class TestAggregateQueueWait:
         async def main():
             service = AllocationService()
             await service.start()
+            waits = service.metrics.get("repro_service_queue_wait_seconds")
             for tenant, wait in (("a", 1.0), ("a", 3.0), ("b", 100.0)):
-                service.registry.get(tenant).metrics.queue_wait.record(
-                    wait
-                )
+                service.registry.get(tenant)  # registers the tenant
+                waits.labels(tenant=tenant).observe(wait)
             snapshot = service.snapshot()
             await service.aclose()
             return snapshot

@@ -221,8 +221,9 @@ class TestPreemption:
         # money moved: bid + admission out of gold, bid into bronze
         assert gold.account.spent == pytest.approx(26.0)
         assert bronze.account.earned == pytest.approx(25.0)
-        assert gold.metrics.preemptions == 1
-        assert bronze.metrics.preempted == 1
+        rows = service.snapshot()["tenants"]
+        assert rows["gold"]["preemptions"] == 1
+        assert rows["bronze"]["preempted"] == 1
 
     def test_victim_is_lowest_tier_lowest_priority_youngest(self, gated):
         async def main():
@@ -300,9 +301,9 @@ class TestPreemption:
         record, service = run(main())
         assert record.stage == "service-queue-full"
         assert service.registry.get("gold").account.spent == 0.0
+        rows = service.snapshot()["tenants"]
         assert all(
-            service.registry.get(t).metrics.preempted == 0
-            for t in ("bronze",)
+            rows[t].get("preempted", 0) == 0 for t in ("bronze",)
         )
 
     def test_bid_with_free_capacity_costs_nothing(self, gated):

@@ -1,48 +1,101 @@
-"""Percentiles and counter snapshots."""
+"""The service's metrics registry and the views read from it.
+
+Each :class:`AllocationService` records every count, latency and level
+once, into its own :class:`~repro.telemetry.MetricsRegistry`; ``/stats``,
+``/v1/shard/samples`` and ``/metrics`` only read it.  These tests pin
+that contract: per-service isolation (two services in one process no
+longer share gauges), one bump per outcome, bounded label cardinality,
+and the ``/stats`` shapes the registry now backs.
+"""
+
+import asyncio
+import re
+import threading
 
 import pytest
 
-from repro.service.metrics import LatencySeries, TenantMetrics, percentile
+import repro.simulator.engine  # noqa: F401 — registers repro_sim_*
+from repro.api import InstanceSpec, SolveRequest
+from repro.service import (
+    AdmissionRejected,
+    AllocationService,
+    LocalShard,
+    ShardRouter,
+    TenantConfig,
+)
+from repro.telemetry import get_registry
 
 
-class TestPercentile:
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50.0)
+def req(label: str, seed: int = 1) -> SolveRequest:
+    return SolveRequest(spec=InstanceSpec(n_operators=6, seed=seed),
+                        seed=seed, label=label)
 
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101.0)
 
-    def test_single_value(self):
-        assert percentile([3.5], 99.0) == 3.5
+def run(coro):
+    return asyncio.run(coro)
 
-    def test_median_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50.0) == 2.5
 
-    def test_extremes(self):
-        values = [5.0, 1.0, 3.0]
-        assert percentile(values, 0.0) == 1.0
-        assert percentile(values, 100.0) == 5.0
+class Gate:
+    """Stub ``execute_request``: ``block``-labelled requests hold their
+    executor slot until the gate opens."""
 
-    def test_matches_numpy_linear(self):
-        np = pytest.importorskip("numpy")
-        values = [0.3, 1.2, 0.01, 7.5, 2.2, 2.2, 0.9]
-        for q in (10, 50, 90, 99):
-            assert percentile(values, q) == pytest.approx(
-                float(np.percentile(values, q))
-            )
+    def __init__(self):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+
+    def __call__(self, request):
+        if request.label.startswith("block"):
+            self.started.set()
+            if not self.gate.wait(timeout=30):
+                raise TimeoutError("gate never opened")
+        return request.label
+
+
+@pytest.fixture()
+def gated(monkeypatch):
+    stub = Gate()
+    monkeypatch.setattr("repro.service.broker.execute_request", stub)
+    return stub
+
+
+async def _spin_until(predicate, timeout=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_running_loop().time() > deadline:
+            raise TimeoutError("condition never became true")
+        await asyncio.sleep(0.01)
+
+
+def _child_counts(service) -> dict:
+    return {
+        name: len(family.children())
+        for name, family in service.metrics._families.items()
+    }
 
 
 class TestLatencySeries:
     def test_empty_summary_is_none(self):
-        assert LatencySeries().summary() is None
+        """No dispatched request → no queue-wait window anywhere: the
+        service-level summary is omitted and the raw samples empty."""
+        async def main():
+            service = AllocationService(tenants=(TenantConfig("t"),))
+            await service.start()
+            snapshot, samples = service.snapshot(), service.samples()
+            await service.aclose()
+            return snapshot, samples
+
+        snapshot, samples = run(main())
+        assert "queue_wait_s" not in snapshot["service"]
+        assert samples == {"queue_wait": [], "queue_wait_total": 0}
 
     def test_summary_fields(self):
-        series = LatencySeries()
+        """Samples observed into a tenant's histogram child surface as
+        that tenant's ``/stats`` summary."""
+        service = AllocationService(tenants=(TenantConfig("t"),))
+        waits = service.metrics.get("repro_service_queue_wait_seconds")
         for v in (0.1, 0.2, 0.3, 0.4):
-            series.record(v)
-        summary = series.summary()
+            waits.labels(tenant="t").observe(v)
+        summary = service.snapshot()["tenants"]["t"]["queue_wait_s"]
         assert summary["count"] == 4
         assert summary["mean"] == pytest.approx(0.25)
         assert summary["p50"] == pytest.approx(0.25)
@@ -50,16 +103,172 @@ class TestLatencySeries:
 
 
 class TestTenantMetrics:
-    def test_rejection_breakdown(self):
-        metrics = TenantMetrics()
-        metrics.record_rejection("rate-limit")
-        metrics.record_rejection("rate-limit")
-        metrics.record_rejection("queue-full")
-        assert metrics.n_rejected == 3
-        snap = metrics.snapshot()
-        assert snap["rejected"] == {"queue-full": 1, "rate-limit": 2}
+    def test_rejection_breakdown(self, gated):
+        async def main():
+            service = AllocationService(
+                tenants=(TenantConfig("t", max_queued=1, rate_per_s=0.0,
+                                      burst=1),),
+                max_in_flight=1,
+            )
+            await service.start()
+            await service.submit(req("block"))  # holds the one slot
+            await _spin_until(gated.started.is_set)
+            queued = await service.submit(req("queued"), tenant="t")
+            stages = []
+            for cancel_first in (False, False, True):
+                if cancel_first:
+                    assert service.cancel(queued)
+                with pytest.raises(AdmissionRejected) as info:
+                    await service.submit(req("more"), tenant="t")
+                stages.append(info.value.record.stage)
+            snapshot = service.snapshot()
+            gated.gate.set()
+            await service.aclose()
+            return stages, snapshot
+
+        stages, snapshot = run(main())
+        assert stages == ["queue-full", "queue-full", "rate-limit"]
+        row = snapshot["tenants"]["t"]
+        assert row["rejected"] == {"queue-full": 2, "rate-limit": 1}
+        assert row["n_rejected"] == 3
+        assert row["cancelled"] == 1
+        assert snapshot["totals"]["rejected"] == 3
 
     def test_snapshot_omits_empty_series(self):
-        snap = TenantMetrics().snapshot()
-        assert "queue_wait_s" not in snap
-        assert "service_time_s" not in snap
+        service = AllocationService(tenants=(TenantConfig("t"),))
+        row = service.snapshot()["tenants"]["t"]
+        assert "queue_wait_s" not in row
+        assert "service_time_s" not in row
+        assert row["admitted"] == 0 and row["rejected"] == {}
+
+
+class TestOneSource:
+    def test_each_rejection_is_counted_once(self, gated):
+        """Counted where raised: the /stats view and the registry agree,
+        and submit() does not count the same rejection again."""
+        async def main():
+            service = AllocationService(
+                tenants=(TenantConfig("t", rate_per_s=0.0, burst=1),),
+                auto_register=False,
+            )
+            await service.start()
+            await service.submit(req("ok", 1), tenant="t")
+            for tenant in ("t", "stranger"):
+                with pytest.raises(AdmissionRejected):
+                    await service.submit(req("ok", 2), tenant=tenant)
+            await service.aclose()
+            with pytest.raises(AdmissionRejected):
+                await service.submit(req("ok", 3), tenant="t")
+            return service
+
+        service = run(main())
+        assert service.metrics.get(
+            "repro_service_rejections_total"
+        ).totals() == {
+            ("t", "rate-limit"): 1,
+            ("", "unknown-tenant"): 1,
+            ("", "not-running"): 1,
+        }
+        snapshot = service.snapshot()
+        assert snapshot["totals"]["rejected"] == 3
+        assert snapshot["unattributed_rejections"] == {
+            "not-running": 1, "unknown-tenant": 1,
+        }
+
+    def test_preemption_victims_stay_out_of_rejected(self, gated):
+        async def main():
+            service = AllocationService(
+                tenants=(TenantConfig("gold", tier="gold"),
+                         TenantConfig("bronze", tier="bronze")),
+                max_in_flight=1, max_queue_depth=1,
+            )
+            await service.start()
+            await service.submit(req("block"), tenant="bronze")
+            await _spin_until(gated.started.is_set)
+            victim = await service.submit(req("victim"), tenant="bronze")
+            await service.submit(req("bid"), tenant="gold", bid=2.0)
+            with pytest.raises(AdmissionRejected):
+                await victim.future
+            snapshot = service.snapshot()
+            text = service.metrics.render()
+            gated.gate.set()
+            await service.aclose()
+            return snapshot, text
+
+        snapshot, text = run(main())
+        assert snapshot["totals"]["rejected"] == 0
+        assert snapshot["totals"]["preempted"] == 1
+        assert snapshot["tenants"]["bronze"]["rejected"] == {}
+        assert snapshot["tenants"]["bronze"]["preempted"] == 1
+        assert snapshot["tenants"]["gold"]["preemptions"] == 1
+        assert ('repro_service_rejections_total{tenant="bronze",'
+                'stage="preempted"} 1') in text
+        assert 'repro_service_preemptions_total{tenant="gold"} 1' in text
+
+    def test_closed_registry_keeps_label_cardinality(self):
+        """1,000 submits from distinct unknown tenants add no child to
+        any service family: unattributed rejections carry no label
+        taken from the client's tenant name."""
+        async def main():
+            service = AllocationService(
+                tenants=(TenantConfig("known"),), auto_register=False
+            )
+            await service.start()
+            with pytest.raises(AdmissionRejected):
+                await service.submit(req("warm"), tenant="stranger")
+            before = _child_counts(service)
+            for i in range(1000):
+                with pytest.raises(AdmissionRejected):
+                    await service.submit(req("x"), tenant=f"who-{i}")
+            after = _child_counts(service)
+            text = service.metrics.render()
+            await service.aclose()
+            return before, after, text, service
+
+        before, after, text, service = run(main())
+        assert after == before
+        assert "who-" not in text
+        assert service.snapshot()["unattributed_rejections"] == {
+            "unknown-tenant": 1001
+        }
+
+
+class TestPerShardGauges:
+    def test_two_local_shards_keep_their_own_levels(self, gated):
+        """Two in-process shards with 3 and 7 queued requests: the
+        router's merged /metrics reports each under its shard label,
+        and every process-level family exactly once."""
+        async def main():
+            shards = [
+                LocalShard(name=name, max_in_flight=1)
+                for name in ("s0", "s1")
+            ]
+            router = ShardRouter(shards)
+            await router.start()
+            for shard, n in zip(shards, (3, 7)):
+                gated.started.clear()
+                await shard.service.submit(req("block"))
+                await _spin_until(gated.started.is_set)
+                for i in range(n):
+                    await shard.service.submit(req(f"q{i}"))
+            status, payload = await router.dispatch("GET", "/metrics", b"")
+            gated.gate.set()
+            await router.aclose()
+            return status, payload.text
+
+        status, text = run(main())
+        assert status == 200
+        assert 'repro_service_queued{shard="s0"} 3' in text
+        assert 'repro_service_queued{shard="s1"} 7' in text
+        assert not re.search(r"^repro_service_queued ", text, re.M)
+        process = [
+            name for name, family in get_registry()._families.items()
+        ]
+        assert any(name.startswith("repro_sim_") for name in process)
+        for name in process:
+            assert text.count(f"# TYPE {name} ") == 1, name
+            assert not re.search(
+                rf'^{name}\S*\{{shard="', text, re.M
+            ), name
+        for name in ("repro_service_queued", "repro_service_requests_total"):
+            assert text.count(f"# TYPE {name} ") == 1

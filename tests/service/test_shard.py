@@ -336,12 +336,15 @@ class TestCrossShardPreemption:
             status, stats = await router.dispatch("GET", "/stats", b"")
             gold_state = shards[0].service.registry.get("gold")
             bronze_state = shards[1].service.registry.get("bronze")
+            # each half of the preemption is counted on its own shard
+            rows = (shards[0].service.snapshot()["tenants"]["gold"],
+                    shards[1].service.snapshot()["tenants"]["bronze"])
             await router.aclose()
             return (victim_records, gold_record, stats,
-                    gold_state, bronze_state, victims)
+                    gold_state, bronze_state, victims, rows)
 
         (victim_records, gold_record, stats,
-         gold_state, bronze_state, victims) = run(scenario())
+         gold_state, bronze_state, victims, rows) = run(scenario())
 
         preempted = [
             r for r in victim_records if r["status"] == "failed"
@@ -359,8 +362,8 @@ class TestCrossShardPreemption:
         # out of gold (its shard), bid into bronze (the other shard)
         assert gold_state.account.spent == pytest.approx(26.0)
         assert bronze_state.account.earned == pytest.approx(25.0)
-        assert gold_state.metrics.preemptions == 1
-        assert bronze_state.metrics.preempted == 1
+        assert rows[0]["preemptions"] == 1
+        assert rows[1]["preempted"] == 1
         # and the merged /stats sees the whole economy
         assert stats["totals"]["preempted"] == 1
         assert stats["totals"]["spent"] == pytest.approx(26.0)

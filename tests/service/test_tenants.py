@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service import AllocationService
 from repro.service.tenants import (
     TenantConfig,
     TenantRegistry,
@@ -83,14 +84,18 @@ class TestRegistry:
         assert registry.get("stranger") is None
 
     def test_reconfigure_keeps_counters(self):
-        registry = TenantRegistry((TenantConfig(name="t"),))
-        state = registry.get("t")
-        state.metrics.admitted = 7
-        registry.register(TenantConfig(name="t", weight=9))
-        again = registry.get("t")
+        service = AllocationService(tenants=(TenantConfig(name="t"),))
+        state = service.registry.get("t")
+        state.n_queued = 2
+        service.metrics.get("repro_service_requests_total").labels(
+            tenant="t", outcome="admitted"
+        ).inc(7)
+        service.registry.register(TenantConfig(name="t", weight=9))
+        again = service.registry.get("t")
         assert again is state
         assert again.config.weight == 9
-        assert again.metrics.admitted == 7
+        row = service.snapshot()["tenants"]["t"]
+        assert (row["weight"], row["queued"], row["admitted"]) == (9, 2, 7)
 
     def test_rate_limited_tenant_gets_a_bucket(self):
         registry = TenantRegistry(
@@ -101,9 +106,13 @@ class TestRegistry:
         assert registry.get("free").bucket is None
 
     def test_snapshot_shape(self):
-        registry = TenantRegistry((TenantConfig(name="t", weight=2),))
-        registry.get("t").metrics.record_rejection("rate-limit")
-        snap = registry.snapshot()
+        service = AllocationService(
+            tenants=(TenantConfig(name="t", weight=2),)
+        )
+        service.metrics.get("repro_service_rejections_total").labels(
+            tenant="t", stage="rate-limit"
+        ).inc()
+        snap = service.snapshot()["tenants"]
         assert snap["t"]["weight"] == 2
         assert snap["t"]["rejected"] == {"rate-limit": 1}
         assert snap["t"]["n_rejected"] == 1

@@ -6,9 +6,13 @@ import pytest
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
+    REGISTRY,
+    SUMMARY_WINDOW,
     Counter,
     MetricsRegistry,
     percentile,
+    scrape,
+    summarize,
 )
 
 
@@ -37,6 +41,19 @@ class TestCounter:
         c.labels(outcome="err").inc()
         assert c.labels(outcome="ok").value == 3
         assert c.labels(outcome="err").value == 1
+
+    def test_whole_counts_stay_ints(self, registry):
+        """JSON views print counters verbatim: ``3``, never ``3.0``."""
+        c = registry.counter("t_ints_total", "", ("k",))
+        c.labels(k="a").inc()
+        c.labels(k="a").inc(2)
+        assert c.totals() == {("a",): 3}
+        assert isinstance(c.labels(k="a").value, int)
+
+    def test_reading_totals_creates_no_child(self, registry):
+        c = registry.counter("t_lazy_total", "", ("k",))
+        assert c.totals() == {} and c.children() == {}
+        assert "t_lazy_total{" not in registry.render()
 
     def test_wrong_labels_rejected(self, registry):
         c = registry.counter("t_l_total", "", ("a",))
@@ -82,6 +99,18 @@ class TestHistogram:
     def test_summary_none_when_empty(self, registry):
         h = registry.histogram("t_empty_seconds")
         assert h.summary() is None
+        assert summarize([], 0) is None
+
+    def test_window_keeps_the_newest_samples(self, registry):
+        h = registry.histogram("t_window_seconds")
+        for i in range(SUMMARY_WINDOW + 10):
+            h.observe(float(i))
+        child = h.children()[()]
+        assert child.values[0] == 10.0 and len(child.values) == 4096
+        summary = h.summary()
+        assert summary["count"] == SUMMARY_WINDOW + 10
+        assert summary["window"] == SUMMARY_WINDOW
+        assert summary == summarize(child.values, child.count)
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
@@ -135,6 +164,14 @@ class TestRenderFormat:
         assert 't_esc_total{tag="va\\"l\\\\ue"} 1' in text
         assert text.endswith("\n")
 
+    def test_empty_registry_renders_nothing(self, registry):
+        assert registry.render() == ""
+
+    def test_scrape_is_process_families_then_own(self, registry):
+        registry.counter("t_own_total").inc()
+        assert scrape(registry) == REGISTRY.render() + registry.render()
+        assert scrape(registry).endswith("t_own_total 1\n")
+
     def test_parseable_prometheus_lines(self, registry):
         """Every non-comment line is `name{labels} value` with a float
         value — the contract scripts/service_smoke.py asserts on the
@@ -164,10 +201,23 @@ class TestPercentile:
         assert percentile([5.0], 90.0) == 5.0
         assert not math.isnan(percentile([0.0, 0.0], 99.0))
 
+    def test_extremes(self):
+        values = [5.0, 1.0, 3.0]
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 100.0) == 5.0
+
+    def test_matches_numpy_linear(self):
+        np = pytest.importorskip("numpy")
+        values = [0.3, 1.2, 0.01, 7.5, 2.2, 2.2, 0.9]
+        for q in (10, 50, 90, 99):
+            assert percentile(values, q) == pytest.approx(
+                float(np.percentile(values, q))
+            )
+
     def test_service_reexport_is_same_object(self):
-        """Satellite: service/metrics.py::percentile is this function —
-        one implementation, not a copy."""
-        from repro.service.metrics import percentile as service_percentile
+        """``repro.service.percentile`` is this function — one
+        implementation, not a copy."""
+        from repro.service import percentile as service_percentile
 
         assert service_percentile is percentile
 
