@@ -5,8 +5,8 @@ Every entry point (``solve()``, the service broker, ``repro submit``)
 can carry a **trace id**; spans produced while the request travels
 admission → queue → executor → solver all share it, and the service
 serves the stitched tree back at ``GET /v1/trace/<id>``.  Counters,
-gauges, and latency histograms ride the process-wide metrics registry,
-rendered in Prometheus text form at ``GET /metrics``.
+gauges, and latency histograms live in the service's own metrics
+registry, rendered in Prometheus text form at ``GET /metrics``.
 
 This tour:
 
