@@ -1,16 +1,20 @@
 """Hot-path micro-benchmarks (not a paper artefact).
 
 The placement heuristics' inner loop is `LoadTracker.assign/unassign`
-(O(degree) by design) and `Catalog.cheapest_satisfying` (memoised
-scan); the simulator's inner loop is `max_min_rates`.  These
+(O(degree) by design), the `would_fit` probe and
+`Catalog.cheapest_satisfying` (two bisections into tabulated
+thresholds); the simulator's inner loop is `max_min_rates`.  These
 micro-benchmarks keep their costs visible so algorithmic regressions
 (e.g. someone recomputing whole-platform loads per probe) show up as
 order-of-magnitude jumps in `pytest benchmarks/ --benchmark-only`.
+The catalog row also gates the lookup against the cheapest-first scan
+it replaced, as a same-process ratio that fires on any core count.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
+import timeit
 
 import repro
 from repro.core.loads import LoadTracker
@@ -67,22 +71,44 @@ def test_would_fit_probe(benchmark):
     assert hits >= 0
 
 
-def test_cheapest_satisfying_memoised(benchmark):
+#: Minimum scan/lookup time ratio on the catalog row.
+LOOKUP_MIN_RATIO = 4.0
+
+
+def _scan(catalog, work, bw):
+    """The cheapest-first scan the lookup replaced (the oracle)."""
+    for spec in catalog.specs:
+        if spec.satisfies(work, bw):
+            return spec
+    return None
+
+
+def test_cheapest_satisfying_lookup_vs_scan(benchmark):
+    """20k fixed random loads over the whole Table 1 range: the lookup
+    returns the scan's spec objects and beats the scan by a ratio."""
     catalog = dell_catalog()
+    rng = random.Random(SEED)
     loads = [
-        (w * 997.0 % 300_000, b * 13.0 % 2600)
-        for w, b in itertools.product(range(40), range(25))
+        (rng.uniform(0.0, 1.1 * catalog.max_speed_ops),
+         rng.uniform(0.0, 1.1 * catalog.max_nic_mbps))
+        for _ in range(20_000)
     ]
 
-    def queries():
-        found = 0
-        for w, b in loads:
-            if catalog.cheapest_satisfying(w, b) is not None:
-                found += 1
-        return found
+    def lookups():
+        return [catalog.cheapest_satisfying(w, b) for w, b in loads]
 
-    found = benchmark(queries)
-    assert found > 0
+    def scans():
+        return [_scan(catalog, w, b) for w, b in loads]
+
+    found = benchmark(lookups)
+    assert all(a is b for a, b in zip(found, scans(), strict=True))
+    ratio = min(timeit.repeat(scans, number=1, repeat=5)) / min(
+        timeit.repeat(lookups, number=1, repeat=5)
+    )
+    benchmark.extra_info["scan_over_lookup"] = round(ratio, 2)
+    assert ratio >= LOOKUP_MIN_RATIO, (
+        f"lookup only {ratio:.2f}x faster than the scan"
+    )
 
 
 def test_max_min_rates_scaling(benchmark):

@@ -108,6 +108,7 @@ class ObjectCatalog:
                     f"{pos} holds object with index {obj.index}"
                 )
         self._objects: tuple[BasicObject, ...] = tuple(objects)
+        self._rates: tuple[float, ...] = tuple(o.rate_mbps for o in objects)
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -194,7 +195,7 @@ class ObjectCatalog:
 
     def rate_of(self, index: int) -> float:
         """``rate_k`` of object ``index`` in MB/s."""
-        return self._objects[index].rate_mbps
+        return self._rates[index]
 
     def rates(self) -> np.ndarray:
         """All rates as a vector (hot path for load accounting)."""

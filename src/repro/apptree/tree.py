@@ -20,6 +20,7 @@ the heuristics interrogate the tree heavily in inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -344,6 +345,24 @@ class OperatorTree:
         if p != -1:
             out.append(p)
         return tuple(out)
+
+    def links(self, i: int) -> tuple[tuple[int, float], ...]:
+        """``(j, comm_volume(i, j))`` for each ``j`` in ``neighbors(i)``,
+        in that order: the load accounting's walk, without a tuple build
+        and an adjacency test per edge."""
+        return self._links[i]
+
+    @cached_property
+    def _links(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        # built on first use: intermediate trees of the generators never
+        # reach the load accounting
+        ops = self._operators
+        return tuple(
+            tuple((c, ops[c].output_mb) for c in op.children)
+            + (((p, op.output_mb),) if (p := self._parent[op.index]) != -1
+               else ())
+            for op in ops
+        )
 
     def comm_volume(self, i: int, j: int) -> float:
         """Data exchanged per result between adjacent operators ``i`` and

@@ -17,7 +17,9 @@ cheapest catalog configuration covering its load, which is exactly what
 phase 3 will pay.  Feasibility (including the pairwise link budgets)
 is maintained at every step via the incremental
 :class:`~repro.core.loads.LoadTracker`, so the refined placement drops
-into the standard pipeline unchanged.
+into the standard pipeline unchanged.  Each candidate move is priced by
+:meth:`~repro.core.loads.LoadTracker.probe_move`, which leaves the
+tracker untouched; only accepted moves are applied.
 
 The search is deterministic (first-improvement over a fixed scan
 order), terminates in O(#improvements) passes each O(n·m) probes, and
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 from ...errors import PlacementError
 from ...platform.catalog import ProcessorSpec
-from ..loads import LoadTracker
 from ..problem import ProblemInstance
 from .base import PlacementContext, PlacementOutcome
 
@@ -61,7 +62,8 @@ class _Refiner:
         self.catalog = instance.catalog
         self.builder = outcome.builder
         self.tracker = outcome.tracker
-        self.bp = instance.network.processor_link_mbps
+        # uid -> machine_cost; a move changes only its two machines' loads
+        self._costs: dict[int, float] = {}
 
     # -- cost model ------------------------------------------------------
     def machine_spec(self, uid: int) -> ProcessorSpec | None:
@@ -73,17 +75,18 @@ class _Refiner:
         )
 
     def machine_cost(self, uid: int) -> float:
-        spec = self.machine_spec(uid)
-        if spec is None:
-            return float("inf")
-        return spec.cost
+        cost = self._costs.get(uid)
+        if cost is None:
+            spec = self.machine_spec(uid)
+            cost = self._costs[uid] = (
+                float("inf") if spec is None else spec.cost
+            )
+        return cost
 
-    def links_ok(self, uids: tuple[int, ...]) -> bool:
-        tol = 1 + 1e-9
-        for pair, load in self.tracker.iter_pair_loads():
-            if (pair[0] in uids or pair[1] in uids) and load > self.bp * tol:
-                return False
-        return True
+    def load_cost(self, compute: float, nic: float) -> float:
+        """Price of the cheapest configuration covering a load."""
+        spec = self.catalog.cheapest_satisfying(compute, nic)
+        return float("inf") if spec is None else spec.cost
 
     def total_cost(self) -> float:
         return sum(
@@ -92,6 +95,8 @@ class _Refiner:
         )
 
     # -- moves --------------------------------------------------------------
+    # Each move is priced by a tracker probe; only an accepted move
+    # touches the tracker.
     def try_relocate(self, i: int, v: int) -> bool:
         """Move operator ``i`` to machine ``v`` if it lowers cost."""
         u = self.tracker.processor_of(i)
@@ -99,21 +104,23 @@ class _Refiner:
         if u == v:
             return False
         before = self.machine_cost(u) + self.machine_cost(v)
-        self.tracker.move(i, v)
+        probe = self.tracker.probe_move((i,), v)
         after_u = (
-            self.machine_cost(u)
-            if self.tracker.operators_on(u) else 0.0
+            0.0 if probe.source_empty
+            else self.load_cost(probe.source_compute, probe.source_nic)
         )
-        after = after_u + self.machine_cost(v)
-        if after < before - 1e-9 and self.links_ok((u, v)):
-            if not self.tracker.operators_on(u):
-                self.builder.sell(u)
-            self._sync_spec(v)
-            if u in self.builder:
-                self._sync_spec(u)
-            return True
-        self.tracker.move(i, u)
-        return False
+        after = after_u + self.load_cost(probe.target_compute,
+                                         probe.target_nic)
+        if not (after < before - 1e-9 and self.tracker.links_ok_after(probe)):
+            return False
+        self.tracker.move(i, v)
+        del self._costs[u], self._costs[v]
+        if probe.source_empty:
+            self.builder.sell(u)
+        self._sync_spec(v)
+        if u in self.builder:
+            self._sync_spec(u)
+        return True
 
     def _sync_spec(self, uid: int) -> None:
         """Re-spec a machine so its purchased configuration covers its
@@ -132,20 +139,15 @@ class _Refiner:
         if not ops:
             return False
         before = self.machine_cost(donor) + self.machine_cost(target)
-        for op in ops:
-            self.tracker.unassign(op)
-        for op in ops:
-            self.tracker.assign(op, target)
-        after = self.machine_cost(target)
-        if after < before - 1e-9 and self.links_ok((donor, target)):
-            self.builder.sell(donor)
-            self._sync_spec(target)
-            return True
-        for op in ops:
-            self.tracker.unassign(op)
-        for op in ops:
-            self.tracker.assign(op, donor)
-        return False
+        probe = self.tracker.probe_move(ops, target)
+        after = self.load_cost(probe.target_compute, probe.target_nic)
+        if not (after < before - 1e-9 and self.tracker.links_ok_after(probe)):
+            return False
+        self.tracker.move_group(ops, target)
+        del self._costs[donor], self._costs[target]
+        self.builder.sell(donor)
+        self._sync_spec(target)
+        return True
 
     # -- driver -----------------------------------------------------------------
     def run(self, max_passes: int) -> RefinementReport:

@@ -35,16 +35,47 @@ purchase.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..errors import ModelError
 from .problem import ProblemInstance
 
-__all__ = ["LoadTracker", "standalone_requirement"]
+__all__ = ["LoadTracker", "MoveProbe", "standalone_requirement"]
+
+#: Relative slack on every capacity and link-budget check.
+_TOL = 1 + 1e-9
+#: A pair's cut traffic at or below this after an ``unassign`` is dropped.
+_PAIR_EPS = 1e-12
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _within(compute: float, nic: float, speed_ops: float,
+            nic_mbps: float) -> bool:
+    return not (compute > speed_ops * _TOL or nic > nic_mbps * _TOL)
+
+
+class MoveProbe(NamedTuple):
+    """What :meth:`LoadTracker.move_group` would leave behind, priced by
+    :meth:`LoadTracker.probe_move` without mutating anything.
+
+    Loads are ρ-scaled exactly as :meth:`LoadTracker.compute_load` and
+    :meth:`LoadTracker.nic_load` report them after the move.  ``pairs``
+    holds the post-move cut traffic (ρ-free, MB per result) of every
+    processor pair the move changes; ``None`` marks a pair the move
+    drops.
+    """
+
+    source: int | None
+    target: int
+    source_compute: float
+    source_nic: float
+    source_empty: bool
+    target_compute: float
+    target_nic: float
+    pairs: dict[tuple[int, int], float | None]
 
 
 class LoadTracker:
@@ -85,11 +116,10 @@ class LoadTracker:
         counts = self._dl_counts[u]
         for k in tree.unique_leaf(i):
             if counts[k] == 0:
-                self._dl_rate[u] += self.instance.rate(k)
+                self._dl_rate[u] += tree.catalog.rate_of(k)
             counts[k] += 1
 
-        for j in tree.neighbors(i):
-            vol = tree.comm_volume(i, j)
+        for j, vol in tree.links(i):
             v = self.assignment.get(j)
             if v is None:
                 self._comm_mb[u] += vol  # pessimistic: neighbour unmapped
@@ -114,11 +144,10 @@ class LoadTracker:
         for k in tree.unique_leaf(i):
             counts[k] -= 1
             if counts[k] == 0:
-                self._dl_rate[u] -= self.instance.rate(k)
+                self._dl_rate[u] -= tree.catalog.rate_of(k)
                 del counts[k]
 
-        for j in tree.neighbors(i):
-            vol = tree.comm_volume(i, j)
+        for j, vol in tree.links(i):
             v = self.assignment.get(j)
             if v is None:
                 self._comm_mb[u] -= vol
@@ -128,7 +157,7 @@ class LoadTracker:
                 self._comm_mb[u] -= vol
                 pair = _pair(u, v)
                 self._pair_mb[pair] -= vol
-                if self._pair_mb[pair] <= 1e-12:
+                if self._pair_mb[pair] <= _PAIR_EPS:
                     del self._pair_mb[pair]
         return u
 
@@ -136,6 +165,15 @@ class LoadTracker:
         """Reassign operator ``i`` to processor ``u``."""
         self.unassign(i)
         self.assign(i, u)
+
+    def move_group(self, ops: Sequence[int], u: int) -> None:
+        """Unassign every mapped operator of ``ops``, then assign them
+        all to ``u`` in order — the move :meth:`probe_move` prices."""
+        for i in ops:
+            if i in self.assignment:
+                self.unassign(i)
+        for i in ops:
+            self.assign(i, u)
 
     def rebind(self, instance: ProblemInstance) -> bool:
         """Adopt a mutated instance without replaying the assignment.
@@ -206,9 +244,6 @@ class LoadTracker:
         """Eq. 5 LHS for the unordered pair ``{u, v}``, MB/s."""
         return self.rho * self._pair_mb.get(_pair(u, v), 0.0)
 
-    def pairs_touching(self, u: int) -> list[tuple[int, int]]:
-        return [p for p in self._pair_mb if u in p]
-
     def iter_pair_loads(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Lazily yield ``(pair, Eq. 5 load)`` — the allocation-free way
         to scan pair loads in heuristic inner loops."""
@@ -232,30 +267,147 @@ class LoadTracker:
     # ------------------------------------------------------------------
     def fits(self, u: int, speed_ops: float, nic_mbps: float) -> bool:
         """Do ``u``'s current aggregates fit the given capacities and do
-        all links touching ``u`` respect the uniform ``bp``?"""
-        tol = 1 + 1e-9
-        if self.compute_load(u) > speed_ops * tol:
-            return False
-        if self.nic_load(u) > nic_mbps * tol:
-            return False
-        bp = self.instance.network.processor_link_mbps
-        rho = self.rho
-        for p, mb in self._pair_mb.items():
-            if u in p and rho * mb > bp * tol:
-                return False
-        return True
+        all links touching ``u`` respect the uniform ``bp``?  Scans every
+        loaded processor pair."""
+        return _within(
+            self.compute_load(u), self.nic_load(u), speed_ops, nic_mbps
+        ) and self._links_ok((u,), {})
 
     def would_fit(
         self, i: int, u: int, speed_ops: float, nic_mbps: float
     ) -> bool:
-        """Tentatively assign ``i``→``u``, test :meth:`fits`, roll back.
+        """Would :meth:`fits` hold for ``u`` after assigning the unmapped
+        operator ``i`` there?  Priced by :meth:`probe_move`, so nothing
+        is mutated; O(degree) for the loads plus a scan of every loaded
+        processor pair for the link budgets."""
+        if i in self.assignment:
+            raise ModelError(
+                f"operator n{i} is already mapped; unassign it first"
+            )
+        probe = self.probe_move((i,), u)
+        return _within(
+            probe.target_compute, probe.target_nic, speed_ops, nic_mbps
+        ) and self.links_ok_after(probe)
 
-        Cost is O(degree), so heuristic inner loops can call it freely.
+    def links_ok_after(self, probe: MoveProbe) -> bool:
+        """Would every link touching the probe's source or target respect
+        ``bp`` after the move?"""
+        return self._links_ok((probe.source, probe.target), probe.pairs)
+
+    def _links_ok(
+        self,
+        uids: tuple[int | None, ...],
+        changed: Mapping[tuple[int, int], float | None],
+    ) -> bool:
+        limit = self.instance.network.processor_link_mbps * _TOL
+        rho = self.rho
+        for p, mb in self._pair_mb.items():
+            if (
+                rho * mb > limit
+                and (p[0] in uids or p[1] in uids)
+                and p not in changed
+            ):
+                return False
+        return not any(
+            mb is not None and rho * mb > limit for mb in changed.values()
+        )
+
+    def probe_move(self, ops: Sequence[int], u: int) -> MoveProbe:
+        """Price :meth:`move_group` ``(ops, u)`` without mutating.
+
+        Every operator of ``ops`` must be unmapped or mapped on one
+        common source processor.  The post-move aggregates are summed in
+        the order ``unassign``/``assign`` apply them — per operator, then
+        per ``tree.links`` entry — so they are the very floats the
+        mutation would leave, and a decision taken on the probe is the
+        decision taken after mutating.  (Applying a move and reverting it
+        is *not* a no-op on the floats.)
         """
-        self.assign(i, u)
-        ok = self.fits(u, speed_ops, nic_mbps)
-        self.unassign(i)
-        return ok
+        tree = self.tree
+        rate = tree.catalog.rate_of
+        assignment = self.assignment
+        pair_mb = self._pair_mb
+        pairs: dict[tuple[int, int], float | None] = {}
+        group = set(ops)
+
+        moving = [i for i in ops if i in assignment]
+        source = assignment[moving[0]] if moving else None
+        s_work = self._work.get(source, 0.0)
+        s_dl = self._dl_rate.get(source, 0.0)
+        s_comm = self._comm_mb.get(source, 0.0)
+        s_counts = self._dl_counts.get(source, {})
+        s_left: dict[int, int] = {}
+        if any(assignment[i] != source for i in moving):
+            raise ModelError(
+                f"probe_move: operators {list(ops)} span several processors"
+            )
+        unmapped = group.difference(moving)  # group members unmapped so far
+        for i in moving:  # unassign(i) on the source
+            unmapped.add(i)
+            s_work -= tree[i].work
+            for k in tree.unique_leaf(i):
+                left = (s_left[k] if k in s_left else s_counts[k]) - 1
+                s_left[k] = left
+                if left == 0:
+                    s_dl -= rate(k)
+            for j, vol in tree.links(i):
+                v = None if j in unmapped else assignment.get(j)
+                if v is None:
+                    s_comm -= vol
+                elif v == source:
+                    s_comm += vol
+                else:
+                    s_comm -= vol
+                    p = _pair(source, v)
+                    mb = (pairs[p] if p in pairs else pair_mb.get(p)) or 0.0
+                    mb -= vol
+                    pairs[p] = None if mb <= _PAIR_EPS else mb
+
+        if u == source:
+            t_work, t_dl, t_comm = s_work, s_dl, s_comm
+            t_counts, t_seen = s_counts, s_left
+        else:
+            t_work = self._work.get(u, 0.0)
+            t_dl = self._dl_rate.get(u, 0.0)
+            t_comm = self._comm_mb.get(u, 0.0)
+            t_counts, t_seen = self._dl_counts.get(u, {}), {}
+        for i in ops:  # assign(i, u)
+            unmapped.discard(i)
+            t_work += tree[i].work
+            for k in tree.unique_leaf(i):
+                seen = t_seen[k] if k in t_seen else t_counts.get(k, 0)
+                if seen == 0:
+                    t_dl += rate(k)
+                t_seen[k] = seen + 1
+            for j, vol in tree.links(i):
+                if j in unmapped:
+                    t_comm += vol
+                    continue
+                v = u if j in group else assignment.get(j)
+                if v is None:
+                    t_comm += vol
+                elif v == u:
+                    t_comm -= vol
+                else:
+                    t_comm += vol
+                    p = _pair(u, v)
+                    mb = (pairs[p] if p in pairs else pair_mb.get(p)) or 0.0
+                    pairs[p] = mb + vol
+
+        if u == source:
+            s_work, s_dl, s_comm = t_work, t_dl, t_comm
+        rho = self.rho
+        n_left = len(self._ops_on.get(source, ())) - len(moving)
+        return MoveProbe(
+            source=source,
+            target=u,
+            source_compute=rho * s_work,
+            source_nic=s_dl + rho * s_comm,
+            source_empty=n_left == 0 and u != source,
+            target_compute=rho * t_work,
+            target_nic=t_dl + rho * t_comm,
+            pairs=pairs,
+        )
 
 
 def standalone_requirement(

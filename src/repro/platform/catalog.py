@@ -18,6 +18,7 @@ homogeneous single-spec catalog for the optimal-comparison experiment.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,6 +38,10 @@ __all__ = [
 
 #: Base cost of the rack-mountable server chassis (Table 1).
 BASE_CHASSIS_COST: float = 7_548.0
+
+#: Relative slack a spec's capacities get in :meth:`ProcessorSpec.satisfies`
+#: (absorbs floating-point accumulation in the aggregated loads).
+SATISFY_TOL: float = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,10 +150,9 @@ class ProcessorSpec:
         ``bandwidth_mbps`` MB/s of NIC traffic?  (Constraints 1 & 2 with
         the load pre-aggregated; a small relative tolerance absorbs
         floating-point accumulation.)"""
-        tol = 1e-9
         return (
-            work_ops <= self.speed_ops * (1 + tol)
-            and bandwidth_mbps <= self.nic_mbps * (1 + tol)
+            work_ops <= self.speed_ops * (1 + SATISFY_TOL)
+            and bandwidth_mbps <= self.nic_mbps * (1 + SATISFY_TOL)
         )
 
     def describe(self) -> str:
@@ -164,9 +168,13 @@ class ProcessorSpec:
 class Catalog:
     """All purchasable processor configurations, with query helpers.
 
-    Specs are kept sorted by (cost, -speed, -nic) so "cheapest feasible"
-    scans are a single pass.  All heuristics share one catalog instance
-    per experiment, so query results are memoised.
+    Specs are kept sorted by (cost, -speed, -nic); "cheapest feasible"
+    means the first spec of that order able to host a load.  A spec
+    hosts a load when its CPU *and* its NIC each clear a threshold, so
+    the feasible specs are always the CPU options from some index up
+    crossed with the NIC options from some index up.  The answer for
+    every such pair of suffixes is tabulated at construction, and a
+    query is two bisections into the per-dimension thresholds.
     """
 
     def __init__(
@@ -189,19 +197,53 @@ class Catalog:
         )
         self.base_cost = base_cost
         self.ops_per_ghz = ops_per_ghz
-        self._specs: tuple[ProcessorSpec, ...] = tuple(
-            sorted(
-                (
-                    ProcessorSpec(cpu=c, nic=n, base_cost=base_cost,
-                                  ops_per_ghz=ops_per_ghz)
-                    for c, n in itertools.product(
-                        self.cpu_options, self.nic_options
-                    )
-                ),
-                key=lambda s: (s.cost, -s.speed_ops, -s.nic_mbps),
-            )
+        # (cpu index, nic index, spec) over the product, in scan order
+        ranked = sorted(
+            (
+                (ci, ni, ProcessorSpec(cpu=c, nic=n, base_cost=base_cost,
+                                       ops_per_ghz=ops_per_ghz))
+                for (ci, c), (ni, n) in itertools.product(
+                    enumerate(self.cpu_options), enumerate(self.nic_options)
+                )
+            ),
+            key=lambda e: (e[2].cost, -e[2].speed_ops, -e[2].nic_mbps),
         )
-        self._cheapest_cache: dict[tuple[float, float], ProcessorSpec | None] = {}
+        self._specs: tuple[ProcessorSpec, ...] = tuple(s for _, _, s in ranked)
+        # The top-of-range machine the paper's heuristics provisionally
+        # buy before the downgrade step ("only the most powerful
+        # processors and network cards are acquired", §4.1).  Ties on
+        # cost break toward higher speed, then higher NIC.
+        self.most_expensive: ProcessorSpec = max(
+            self._specs, key=lambda s: (s.cost, s.speed_ops, s.nic_mbps)
+        )
+        # Highest CPU capacity; among those, largest NIC (feasibility
+        # probes use this: if the fastest machine cannot host an
+        # operator, nothing can).
+        self.fastest: ProcessorSpec = max(
+            self._specs, key=lambda s: (s.speed_ops, s.nic_mbps)
+        )
+        self.max_speed_ops: float = self.fastest.speed_ops
+        self.max_nic_mbps: float = max(s.nic_mbps for s in self._specs)
+
+        # The thresholds ProcessorSpec.satisfies compares against, in
+        # ascending order (the options are sorted by capacity), and
+        # _cheapest[ci][ni]: the first spec in scan order among CPU
+        # options >= ci and NIC options >= ni (None past either end).
+        self._cpu_thresholds = tuple(
+            c.speed_ghz * ops_per_ghz * (1 + SATISFY_TOL)
+            for c in self.cpu_options
+        )
+        self._nic_thresholds = tuple(
+            n.bandwidth_mbps * (1 + SATISFY_TOL) for n in self.nic_options
+        )
+        cheapest: list[list[ProcessorSpec | None]] = [
+            [None] * (len(self.nic_options) + 1)
+            for _ in range(len(self.cpu_options) + 1)
+        ]
+        for ci, ni, spec in reversed(ranked):  # earlier specs overwrite
+            for row in cheapest[: ci + 1]:
+                row[: ni + 1] = [spec] * (ni + 1)
+        self._cheapest = tuple(tuple(row) for row in cheapest)
 
     # -- basic access ---------------------------------------------------
     @property
@@ -219,31 +261,6 @@ class Catalog:
     def cheapest(self) -> ProcessorSpec:
         return self._specs[0]
 
-    @property
-    def most_expensive(self) -> ProcessorSpec:
-        """The top-of-range machine the paper's heuristics provisionally
-        buy before the downgrade step ("only the most powerful
-        processors and network cards are acquired", §4.1).  Ties on cost
-        break toward higher speed, then higher NIC."""
-        return max(
-            self._specs, key=lambda s: (s.cost, s.speed_ops, s.nic_mbps)
-        )
-
-    @property
-    def fastest(self) -> ProcessorSpec:
-        """Highest CPU capacity; among those, largest NIC (feasibility
-        probes use this: if the fastest machine cannot host an operator,
-        nothing can)."""
-        return max(self._specs, key=lambda s: (s.speed_ops, s.nic_mbps))
-
-    @property
-    def max_speed_ops(self) -> float:
-        return self.fastest.speed_ops
-
-    @property
-    def max_nic_mbps(self) -> float:
-        return max(s.nic_mbps for s in self._specs)
-
     # -- queries ----------------------------------------------------------
     def cheapest_satisfying(
         self, work_ops: float, bandwidth_mbps: float
@@ -251,25 +268,18 @@ class Catalog:
         """Cheapest configuration able to host the given aggregate load,
         or ``None`` when even the top configuration cannot.  This is the
         primitive behind both "acquire the cheapest possible processor"
-        (Random, Comm-Greedy) and the downgrade phase."""
-        key = (work_ops, bandwidth_mbps)
-        hit = self._cheapest_cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit  # type: ignore[return-value]
-        found: ProcessorSpec | None = None
-        for spec in self._specs:  # cheapest-first scan
-            if spec.satisfies(work_ops, bandwidth_mbps):
-                found = spec
-                break
-        if len(self._cheapest_cache) < 1_000_000:
-            self._cheapest_cache[key] = found
-        return found
+        (Random, Comm-Greedy) and the downgrade phase.  Returns the very
+        spec a cheapest-first scan with :meth:`ProcessorSpec.satisfies`
+        finds, tie-breaks included."""
+        if work_ops != work_ops or bandwidth_mbps != bandwidth_mbps:
+            return None  # NaN satisfies no threshold; bisection would say 0
+        return self._cheapest[bisect_left(self._cpu_thresholds, work_ops)][
+            bisect_left(self._nic_thresholds, bandwidth_mbps)
+        ]
 
     def feasible_for(self, work_ops: float, bandwidth_mbps: float) -> bool:
         """True when *some* configuration can host the load."""
-        return self.fastest.satisfies(work_ops, bandwidth_mbps) or any(
-            s.satisfies(work_ops, bandwidth_mbps) for s in self._specs
-        )
+        return self.cheapest_satisfying(work_ops, bandwidth_mbps) is not None
 
     # -- restrictions ------------------------------------------------------
     def homogeneous(self, spec: ProcessorSpec | None = None) -> "Catalog":
@@ -307,9 +317,6 @@ class Catalog:
             f" NICs, {format_cost(self.cheapest.cost)}-"
             f"{format_cost(self.most_expensive.cost)})"
         )
-
-
-_MISS = object()
 
 
 def dell_catalog(*, ops_per_ghz: float = OPS_PER_GHZ) -> Catalog:
