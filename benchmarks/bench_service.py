@@ -4,8 +4,11 @@ The service subsystem's perf artefact: three tenants (one carrying a
 fair-share weight of 2) push a mixed-size batch of solve requests
 through the in-process :class:`~repro.service.ServiceClient`; the
 bench records sustained request throughput and the queue-wait /
-service-time percentiles the broker's metrics expose, into a
-machine-readable ``BENCH_service.json`` at the repository root.
+service-time percentiles the broker's metrics expose.  Running the
+script (``python benchmarks/bench_service.py``) records them in the
+machine-readable ``BENCH_service.json`` at the repository root; the
+pytest entry point only asserts and writes its text artefact, so a
+test run never rewrites the committed record.
 
 Like every ≥4-core-gated record in this repo, the artefact embeds
 ``os.cpu_count()`` and the executor backend name so the numbers are
@@ -266,10 +269,6 @@ def test_service_throughput(benchmark, artefact_dir):
         f" (gated on >=4 cores; cpu_count {sharded['cpu_count']})"
     )
     write_artefact(artefact_dir, "service_throughput", "\n".join(lines))
-    BENCH_JSON.write_text(
-        json.dumps(data, sort_keys=True, indent=2) + "\n",
-        encoding="utf8",
-    )
 
     # -- the headline claims -------------------------------------------
     assert data["bit_identical"], (

@@ -108,20 +108,6 @@ def quick_instance(
 ) -> ProblemInstance:
     """Build a paper-methodology instance in one call (§5 defaults:
     15 object types, small sizes, high frequency, 6 servers, ρ=1)."""
-    from .rng import spawn
-
-    catalog = ObjectCatalog.random(
-        n_object_types, seed=spawn(seed, "objects")
-    )
-    tree = random_tree(
-        n_operators, catalog, alpha=alpha, seed=spawn(seed, "tree")
-    )
-    farm = ServerFarm.random(
-        n_object_types, seed=spawn(seed, "servers")
-    )
-    return ProblemInstance(
-        tree=tree, farm=farm, catalog=dell_catalog(),
-        network=NetworkModel(), rho=1.0,
-        name=f"quick(n={n_operators}, alpha={alpha}, seed={seed})",
-    )
-
+    return api.InstanceSpec(
+        n_operators, alpha=alpha, seed=seed, n_object_types=n_object_types
+    ).build()

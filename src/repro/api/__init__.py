@@ -27,6 +27,10 @@ Quickstart::
     batch = [SolveRequest(spec=InstanceSpec(seed=s), seed=s)
              for s in range(32)]
     results = solve_many(batch, executor=4)   # 4 worker processes
+
+:func:`sweep` runs a :class:`SweepRequest` (a §5 figure campaign); it
+is :func:`repro.experiments.runner.run_sweep`, bound on first use
+because :mod:`repro.experiments` imports this package.
 """
 
 from .executors import (
@@ -54,7 +58,7 @@ from .requests import (
     SolveResult,
     SweepRequest,
 )
-from .service import replay, replay_many, solve, solve_many, sweep
+from .service import replay, replay_many, solve, solve_many
 from .wire import (
     WireFormatError,
     request_from_wire,
@@ -90,3 +94,11 @@ __all__ = [
     "solve_many",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    if name == "sweep":
+        from ..experiments.runner import run_sweep
+
+        return run_sweep
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ see :mod:`repro.api.registry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from ..core.pipeline import AllocationResult
 from ..core.problem import ProblemInstance
@@ -70,6 +70,9 @@ class InstanceSpec:
     Building the instance in the worker instead of pickling it over
     keeps batch requests tiny; :meth:`build` is deterministic in the
     spec, so a spec *is* its instance for reproducibility purposes.
+    It draws through the campaign factory
+    (:func:`repro.experiments.instances.make_instance`) with no
+    population index, ``seed`` as the master seed.
     """
 
     n_operators: int = 20
@@ -79,19 +82,21 @@ class InstanceSpec:
     rho: float = 1.0
 
     def build(self) -> ProblemInstance:
-        from .. import quick_instance
+        from ..experiments.config import ExperimentConfig
+        from ..experiments.instances import make_instance
 
-        instance = quick_instance(
-            self.n_operators,
+        config = ExperimentConfig(
+            n_operators=self.n_operators,
             alpha=self.alpha,
-            seed=self.seed,
             n_object_types=self.n_object_types,
+            rho=self.rho,
+            master_seed=self.seed,
         )
-        if self.rho != 1.0:
-            from dataclasses import replace
-
-            instance = replace(instance, rho=self.rho)
-        return instance
+        return make_instance(
+            config,
+            name=f"quick(n={self.n_operators}, alpha={self.alpha},"
+                 f" seed={self.seed})",
+        )
 
 
 @dataclass(frozen=True)
@@ -388,7 +393,18 @@ class ReplayRequest:
 @dataclass(frozen=True)
 class SweepRequest:
     """A figure campaign as data: sweep points × heuristics over
-    seeded instance populations."""
+    seeded instance populations.
+
+    ``configs`` maps every sweep point to the
+    :class:`~repro.experiments.config.ExperimentConfig` of its
+    population, and ``heuristics`` (empty: all six, in the paper's
+    order) are placement strategies.  Points are normalised to floats,
+    and the request is checked here, at the door: every point needs
+    exactly one config and every heuristic must resolve.  Each
+    (point, instance, heuristic) cell is then a plain
+    :class:`SolveRequest`
+    (:func:`repro.experiments.runner.cell_request`).
+    """
 
     name: str
     parameter: str
@@ -396,21 +412,17 @@ class SweepRequest:
     configs: Mapping[float, "ExperimentConfig"]
     heuristics: tuple[str, ...] = ()
 
-    @classmethod
-    def from_config_fn(
-        cls,
-        name: str,
-        parameter: str,
-        x_values: Sequence[float],
-        config_for,
-        heuristics: Sequence[str] = (),
-    ) -> "SweepRequest":
-        """Materialise the legacy ``config_for`` callable form."""
-        xs = tuple(float(x) for x in x_values)
-        return cls(
-            name=name,
-            parameter=parameter,
-            x_values=xs,
-            configs={x: config_for(x) for x in xs},
-            heuristics=tuple(heuristics),
-        )
+    def __post_init__(self) -> None:
+        xs = tuple(float(x) for x in self.x_values)
+        configs = {float(x): c for x, c in self.configs.items()}
+        if set(configs) != set(xs):
+            raise ValueError(
+                f"sweep configs must cover exactly the x values:"
+                f" missing {sorted(set(xs) - set(configs))},"
+                f" unlisted {sorted(set(configs) - set(xs))}"
+            )
+        for ref in self.heuristics:
+            _check_ref(ref, "placement")
+        object.__setattr__(self, "x_values", xs)
+        object.__setattr__(self, "configs", {x: configs[x] for x in xs})
+        object.__setattr__(self, "heuristics", tuple(self.heuristics))

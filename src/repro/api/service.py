@@ -1,10 +1,14 @@
-"""The service layer: solve / solve_many / replay / replay_many / sweep.
+"""The service layer: solve / solve_many / replay / replay_many.
 
 These functions are the library's front door.  Each takes typed
 requests (:mod:`repro.api.requests`), runs the underlying engines
-(:mod:`repro.core.pipeline`, :mod:`repro.dynamic.replay`,
-:mod:`repro.experiments.runner`) through a pluggable execution backend
-(:mod:`repro.api.executors`), and returns results with provenance.
+(:mod:`repro.core.pipeline`, :mod:`repro.dynamic.replay`) through a
+pluggable execution backend (:mod:`repro.api.executors`), and returns
+results with provenance.  :func:`solve` is also the one place where
+engine exceptions become failure records with a stage: the §5 figure
+campaigns (:func:`repro.api.sweep`, which is
+:func:`repro.experiments.runner.run_sweep`) solve each of their cells
+through it.
 
 Determinism: per-task seeds are derived with
 :func:`repro.rng.derive_seed` while *building* the task list, so a
@@ -33,7 +37,6 @@ from .requests import (
     ReplayRequest,
     SolveRequest,
     SolveResult,
-    SweepRequest,
 )
 
 __all__ = [
@@ -41,7 +44,6 @@ __all__ = [
     "replay_many",
     "solve",
     "solve_many",
-    "sweep",
 ]
 
 
@@ -270,31 +272,3 @@ def replay_many(
     """
     executor = get_executor(executor)
     return executor.map(replay, list(requests))
-
-
-# ----------------------------------------------------------------------
-# sweep
-# ----------------------------------------------------------------------
-
-def sweep(
-    request: SweepRequest,
-    *,
-    executor: "int | Executor | None" = None,
-):
-    """Run a figure campaign (instances × heuristics grid).
-
-    Returns the :class:`repro.experiments.runner.SweepResult` the
-    report/analysis helpers consume.
-    """
-    from ..experiments.runner import run_sweep
-
-    heuristics = request.heuristics or None
-    kwargs = {} if heuristics is None else {"heuristics": heuristics}
-    return run_sweep(
-        request.name,
-        request.parameter,
-        list(request.x_values),
-        lambda x: request.configs[x],
-        executor=executor,
-        **kwargs,
-    )

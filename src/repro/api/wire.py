@@ -228,15 +228,15 @@ def sweep_request_from_wire(data: Mapping[str, Any]) -> SweepRequest:
             raise WireFormatError(
                 "sweep request config entries need both 'x' and 'config'"
             )
-        configs[float(pair["x"])] = _decode_dataclass(
+        try:
+            x = float(pair["x"])
+        except (TypeError, ValueError) as err:
+            raise WireFormatError(f"bad sweep request point: {err}") from err
+        configs[x] = _decode_dataclass(
             ExperimentConfig, pair["config"], "sweep request config"
         )
     kwargs = dict(body)
     kwargs["configs"] = configs
-    kwargs["x_values"] = tuple(
-        float(x) for x in kwargs.get("x_values", ())
-    )
-    kwargs["heuristics"] = tuple(kwargs.get("heuristics", ()))
     return _build(SweepRequest, kwargs, "sweep request")
 
 

@@ -27,12 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..api.requests import SolveRequest, SweepRequest
+from ..api.service import solve
 from ..core.bounds import cost_lower_bound
 from ..core.exact import solve_exact
 from ..core.heuristics.registry import HEURISTIC_ORDER
 from ..core.ilp import IlpStatistics, model_statistics
-from ..core.pipeline import allocate
-from ..errors import ReproError, SolverError
+from ..errors import SolverError
 from ..rng import derive_seed
 from .config import (
     ALPHA_SWEEP_DEFAULT,
@@ -45,7 +46,7 @@ from .config import (
 )
 from .instances import make_instance
 from .report import format_sweep_table, ranking_summary, sweep_to_csv
-from .runner import SweepResult, run_instance, run_point, run_sweep
+from .runner import SweepResult, run_sweep
 
 __all__ = [
     "fig2a",
@@ -84,15 +85,14 @@ def fig2a(
     ``ops_per_ghz ≈ 30``; under the cliff-faithful default the α = 0.9
     workload consolidates onto one machine and the figure degenerates.
     """
-    return run_sweep(
-        "fig2a", "N", list(n_values),
-        lambda n: small_high(
+    return run_sweep(SweepRequest(
+        "fig2a", "N", n_values,
+        {n: small_high(
             n_operators=int(n), alpha=0.9, n_instances=n_instances,
             master_seed=master_seed, ops_per_ghz=DENSE_OPS_PER_GHZ,
             link_mbps=2500.0,
-        ),
-        executor=executor,
-    )
+        ) for n in n_values},
+    ), executor=executor)
 
 
 def fig2b(
@@ -104,14 +104,13 @@ def fig2b(
 ) -> SweepResult:
     """Figure 2(b): α = 1.7 — cost grows with N and "for trees with
     more than 80 operators, almost no feasible mapping can be found"."""
-    return run_sweep(
-        "fig2b", "N", list(n_values),
-        lambda n: small_high(
+    return run_sweep(SweepRequest(
+        "fig2b", "N", n_values,
+        {n: small_high(
             n_operators=int(n), alpha=1.7, n_instances=n_instances,
             master_seed=master_seed,
-        ),
-        executor=executor,
-    )
+        ) for n in n_values},
+    ), executor=executor)
 
 
 def fig3(
@@ -124,14 +123,13 @@ def fig3(
 ) -> SweepResult:
     """Figure 3: N = 60, α sweep — flat until ≈1.6, rising, infeasible
     past ≈1.8 (thresholds 1.7/2.2 for N = 20, see :func:`fig3_n20`)."""
-    return run_sweep(
-        f"fig3(N={n_operators})", "alpha", list(alpha_values),
-        lambda a: small_high(
+    return run_sweep(SweepRequest(
+        f"fig3(N={n_operators})", "alpha", alpha_values,
+        {a: small_high(
             n_operators=n_operators, alpha=float(a),
             n_instances=n_instances, master_seed=master_seed,
-        ),
-        executor=executor,
-    )
+        ) for a in alpha_values},
+    ), executor=executor)
 
 
 def fig3_n20(
@@ -168,14 +166,13 @@ def large_objects(
     see EXPERIMENTS.md).  Under the plain Gbps NIC reading the regime
     collapses below 10 operators, far from the paper's account.
     """
-    return run_sweep(
-        "large-objects", "N", list(n_values),
-        lambda n: large_high(
+    return run_sweep(SweepRequest(
+        "large-objects", "N", n_values,
+        {n: large_high(
             n_operators=int(n), alpha=alpha, n_instances=n_instances,
             master_seed=master_seed, fat_nics=True,
-        ),
-        executor=executor,
-    )
+        ) for n in n_values},
+    ), executor=executor)
 
 
 def replication_sweep(
@@ -196,15 +193,14 @@ def replication_sweep(
     server (0 = every object on exactly one server, the regime where
     Object-Availability's scarcity ordering has the most signal).
     """
-    return run_sweep(
-        "replication-sweep", "replication", [float(p) for p in probabilities],
-        lambda p: small_high(
+    return run_sweep(SweepRequest(
+        "replication-sweep", "replication", probabilities,
+        {p: small_high(
             n_operators=n_operators, alpha=alpha,
             replication_probability=float(p),
             n_instances=n_instances, master_seed=master_seed,
-        ),
-        executor=executor,
-    )
+        ) for p in probabilities},
+    ), executor=executor)
 
 
 def rate_sweep(
@@ -218,14 +214,13 @@ def rate_sweep(
 ) -> SweepResult:
     """§5: influence of download rates — "frequencies smaller than
     1/10 s have no further influence on the solution"."""
-    return run_sweep(
-        "rate-sweep", "frequency", [float(f) for f in frequencies_hz],
-        lambda f: small_high(
+    return run_sweep(SweepRequest(
+        "rate-sweep", "frequency", frequencies_hz,
+        {f: small_high(
             n_operators=n_operators, alpha=alpha, frequency_hz=float(f),
             n_instances=n_instances, master_seed=master_seed,
-        ),
-        executor=executor,
-    )
+        ) for f in frequencies_hz},
+    ), executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -281,10 +276,9 @@ def low_frequency(
             inst_h = make_instance(high, i)
             inst_l = make_instance(low, i)
             seed = derive_seed(master_seed, "freqcmp", name, i)
-            try:
-                rh = allocate(inst_h, name, rng=seed)
-                rl = allocate(inst_l, name, rng=seed)
-            except ReproError:
+            rh = solve(SolveRequest(instance=inst_h, strategy=name, seed=seed))
+            rl = solve(SolveRequest(instance=inst_l, strategy=name, seed=seed))
+            if not (rh.ok and rl.ok):
                 continue
             n_pairs += 1
             costs_h.append(rh.cost)
@@ -391,10 +385,11 @@ def optimal_comparison(
         gaps.append(sol.cost / lb.value if lb.value > 0 else math.nan)
         for name in heuristics:
             seed = derive_seed(master_seed, "optcmp", name, i)
-            outcome = run_instance(inst, name, seed=seed, instance_index=i)
+            result = solve(
+                SolveRequest(instance=inst, strategy=name, seed=seed)
+            )
             ratios[name].append(
-                outcome.cost / sol.cost if outcome.cost is not None
-                else math.inf
+                result.cost / sol.cost if result.ok else math.inf
             )
     return OptimalComparison(
         n_operators=n_operators,

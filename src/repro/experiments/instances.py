@@ -1,10 +1,13 @@
-"""Random instance generation for experiment campaigns.
+"""Random instance generation: the one instance factory.
 
 Every instance is fully determined by ``(config, instance_index)``:
 object catalog, tree shape, leaf draws, and server distribution all use
 independent sub-streams spawned from the campaign master seed, so any
 single data point of any figure can be regenerated in isolation (the
-benchmark harness relies on this).
+benchmark harness relies on this).  :func:`repro.quick_instance` and
+:meth:`repro.api.InstanceSpec.build` draw through the same function,
+with no index (``spawn(seed, "objects")`` instead of
+``spawn(seed, "objects", index)``).
 """
 
 from __future__ import annotations
@@ -23,28 +26,40 @@ from .config import ExperimentConfig
 __all__ = ["make_instance", "instance_stream"]
 
 
-def make_instance(config: ExperimentConfig, index: int) -> ProblemInstance:
-    """Draw the ``index``-th instance of the configured population."""
+def make_instance(
+    config: ExperimentConfig,
+    index: int | None = None,
+    *,
+    name: str | None = None,
+) -> ProblemInstance:
+    """Draw the ``index``-th instance of the configured population.
+
+    The tree and the instance are named ``"<label>#<index>"``;
+    ``name`` renames the instance.  ``index=None`` draws from the
+    index-free sub-streams and leaves the tree unnamed.
+    """
     seed = config.master_seed
+    path = () if index is None else (index,)
+    label = "" if index is None else f"{config.label}#{index}"
     objects = ObjectCatalog.random(
         config.n_object_types,
         size_range_mb=config.size_range_mb,
         frequency_hz=config.frequency_hz,
-        seed=spawn(seed, "objects", index),
+        seed=spawn(seed, "objects", *path),
     )
     tree = random_tree(
         config.n_operators,
         objects,
         alpha=config.alpha,
-        seed=spawn(seed, "tree", index),
-        name=f"{config.label}#{index}",
+        seed=spawn(seed, "tree", *path),
+        name=label,
     )
     farm = ServerFarm.random(
         config.n_object_types,
         n_servers=config.n_servers,
         nic_mbps=config.server_nic_mbps,
         replication_probability=config.replication_probability,
-        seed=spawn(seed, "servers", index),
+        seed=spawn(seed, "servers", *path),
     )
     if config.fat_nics:
         # Table 1 NIC column read as GB/s: ×8 capacity, same prices.
@@ -77,7 +92,7 @@ def make_instance(config: ExperimentConfig, index: int) -> ProblemInstance:
         catalog=catalog,
         network=network,
         rho=config.rho,
-        name=f"{config.label}#{index}",
+        name=label if name is None else name,
     )
 
 

@@ -2,15 +2,18 @@
 
 The paper's figures plot, for each heuristic, the mean platform cost
 over a population of random instances at each sweep point, with points
-omitted where no feasible mapping is found.  :func:`run_point` produces
-one such column; :func:`run_sweep` a whole figure.  Failures are
-recorded per phase (placement / server-selection), mirroring the
-paper's discussion of *where* heuristics fail (e.g. Subtree-Bottom-Up
-failing in server selection on large objects).
+omitted where no feasible mapping is found.  A figure is a
+:class:`~repro.api.SweepRequest`; :func:`run_sweep` runs it (and is
+:func:`repro.api.sweep`).  Each (instance, heuristic) cell is a plain
+:class:`~repro.api.SolveRequest` (:func:`cell_request`) solved by
+:func:`repro.api.solve`, so a failure is recorded per phase
+(placement / server-selection) by the API's own failure mapping,
+mirroring the paper's discussion of *where* heuristics fail (e.g.
+Subtree-Bottom-Up failing in server selection on large objects).
 
-Both runners accept ``executor=`` (a worker count or
-:class:`repro.api.Executor`): the (instance, heuristic) grid is
-embarrassingly parallel, every cell's seed is derived up front with
+``executor=`` (a worker count or :class:`repro.api.Executor`) fans the
+cells out: the (instance, heuristic) grid is embarrassingly parallel,
+every cell's seed is derived from its coordinates with
 :func:`repro.rng.derive_seed`, and results are grouped back in input
 order — so a parallel campaign is bit-identical to the serial one.
 """
@@ -18,21 +21,18 @@ order — so a parallel campaign is bit-identical to the serial one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from itertools import islice
+from typing import Mapping
 
 from ..api.executors import get_executor
-from ..core.heuristics.registry import HEURISTIC_ORDER, make_heuristic
-from ..core.pipeline import allocate
+from ..api.requests import SolveRequest, SweepRequest
+from ..api.service import solve
+from ..core.heuristics.registry import HEURISTIC_ORDER
 from ..core.problem import ProblemInstance
-from ..errors import (
-    AllocationError,
-    InfeasibleError,
-    PlacementError,
-    ServerSelectionError,
-)
 from ..rng import derive_seed
+from ..telemetry import span
 from .config import ExperimentConfig
 from .instances import make_instance
 
@@ -40,7 +40,7 @@ __all__ = [
     "InstanceOutcome",
     "CellResult",
     "SweepResult",
-    "run_point",
+    "cell_request",
     "run_sweep",
 ]
 
@@ -124,128 +124,77 @@ class SweepResult:
         return max(xs) if xs else None
 
 
-def run_instance(
-    instance: ProblemInstance,
-    heuristic_name: str,
-    *,
-    seed: int,
-    instance_index: int = 0,
-) -> InstanceOutcome:
-    """Run one heuristic pipeline on one instance, capturing failure."""
-    try:
-        result = allocate(instance, make_heuristic(heuristic_name), rng=seed)
-    except (PlacementError, ServerSelectionError, AllocationError,
-            InfeasibleError) as err:
-        stage = getattr(err, "stage", type(err).__name__)
-        return InstanceOutcome(
-            instance_index=instance_index,
-            cost=None,
-            n_processors=None,
-            failure_stage=stage,
-            elapsed_s=0.0,
-        )
-    return InstanceOutcome(
-        instance_index=instance_index,
-        cost=result.cost,
-        n_processors=result.n_processors,
-        failure_stage=None,
-        elapsed_s=result.elapsed_s,
-    )
-
-
 @lru_cache(maxsize=256)
 def _cached_instance(config: ExperimentConfig, index: int) -> ProblemInstance:
-    """Instance generation is deterministic in (config, index), so
-    tasks ship the small config instead of pickling the instance once
-    per heuristic; each process (parent or pool worker) rebuilds an
-    instance at most once and reuses it across its heuristic cells."""
+    """Instance generation is deterministic in (config, index) and costs
+    about as much as one cell's solve, so each process (parent or pool
+    worker) builds an instance once and reuses it across its heuristic
+    cells."""
     return make_instance(config, index)
 
 
-def _run_cell_task(task: tuple[ExperimentConfig, int, str, int]) -> InstanceOutcome:
-    """One (instance, heuristic) grid cell — module-level so the
-    process-pool backend can pickle it."""
-    config, index, name, seed = task
-    return run_instance(
-        _cached_instance(config, index), name,
-        seed=seed, instance_index=index,
+def cell_request(
+    config: ExperimentConfig, index: int, heuristic: str
+) -> SolveRequest:
+    """The §5 cell (population member ``index``, ``heuristic``) as a
+    plain solve request."""
+    return SolveRequest(
+        instance=_cached_instance(config, index),
+        strategy=heuristic,
+        seed=derive_seed(config.master_seed, "run", heuristic, index),
     )
 
 
-def _cell_tasks(
-    config: ExperimentConfig,
-    heuristics: Sequence[str],
-) -> list[tuple[ExperimentConfig, int, str, int]]:
-    """Flatten one sweep point into tasks, heuristic-major (the legacy
-    serial execution order), with per-cell seeds derived up front."""
-    return [
-        (config, i, name, derive_seed(config.master_seed, "run", name, i))
-        for name in heuristics
-        for i in range(config.n_instances)
-    ]
+def _run_cell(task: tuple[ExperimentConfig, int, str]) -> InstanceOutcome:
+    """Solve one cell and fold it into an outcome.  Module-level so the
+    process-pool backend can pickle it; the task ships the small config,
+    and only the small outcome travels back."""
+    config, index, heuristic = task
+    solved = solve(cell_request(config, index, heuristic))
+    ok = solved.ok
+    return InstanceOutcome(
+        instance_index=index,
+        cost=solved.result.cost if ok else None,
+        n_processors=solved.n_processors,
+        failure_stage=None if ok else solved.failures[0].stage,
+        elapsed_s=solved.result.elapsed_s if ok else 0.0,
+    )
 
 
-def _group_cells(
-    heuristics: Sequence[str],
-    n_instances: int,
-    outcomes: Sequence[InstanceOutcome],
-) -> dict[str, CellResult]:
-    """Fold the flat outcome list back into per-heuristic cells."""
-    out: dict[str, CellResult] = {}
-    for h, name in enumerate(heuristics):
-        chunk = outcomes[h * n_instances:(h + 1) * n_instances]
-        out[name] = CellResult(heuristic=name, outcomes=tuple(chunk))
-    return out
+def run_sweep(request: SweepRequest, *, executor=None) -> SweepResult:
+    """Run a figure campaign: every sweep point × heuristic × instance.
 
-
-def run_point(
-    config: ExperimentConfig,
-    heuristics: Sequence[str] = HEURISTIC_ORDER,
-    *,
-    executor=None,
-) -> dict[str, CellResult]:
-    """Run every heuristic over the configured instance population."""
-    executor = get_executor(executor)
-    outcomes = executor.map(_run_cell_task, _cell_tasks(config, heuristics))
-    return _group_cells(heuristics, config.n_instances, outcomes)
-
-
-def run_sweep(
-    name: str,
-    parameter: str,
-    x_values: Sequence[float],
-    config_for: Callable[[float], ExperimentConfig],
-    heuristics: Sequence[str] = HEURISTIC_ORDER,
-    *,
-    executor=None,
-) -> SweepResult:
-    """Run a full parameter sweep (one paper figure).
-
-    The whole instances × heuristics × sweep-points grid is flattened
-    into one task list so a parallel executor keeps every worker busy
-    across sweep points, not just within one.
+    The whole grid is flattened into one task list (x-major, then
+    heuristic, then instance) so a parallel executor keeps every
+    worker busy across sweep points, not just within one.
     """
+    heuristics = request.heuristics or HEURISTIC_ORDER
+    tasks = [
+        (request.configs[x], i, h)
+        for x in request.x_values
+        for h in heuristics
+        for i in range(request.configs[x].n_instances)
+    ]
     executor = get_executor(executor)
-    configs: dict[float, ExperimentConfig] = {}
-    tasks: list[tuple[ExperimentConfig, int, str, int]] = []
-    spans: list[tuple[float, int, int]] = []  # (x, start, n_instances)
-    for x in x_values:
-        config = config_for(x)
-        configs[x] = config
-        spans.append((x, len(tasks), config.n_instances))
-        tasks.extend(_cell_tasks(config, heuristics))
-    outcomes = executor.map(_run_cell_task, tasks)
-    cells: dict[tuple[float, str], CellResult] = {}
-    for x, start, n_instances in spans:
-        chunk = outcomes[start:start + n_instances * len(heuristics)]
-        for hname, cell in _group_cells(heuristics, n_instances,
-                                        chunk).items():
-            cells[(x, hname)] = cell
+    # one trace for the campaign: inline cells' solve spans join it
+    # instead of each starting a trace that evicts older ones
+    with span("api.sweep", sweep=request.name, backend=executor.name):
+        outcomes = iter(executor.map(_run_cell, tasks))
+    cells = {
+        (x, h): CellResult(
+            heuristic=h,
+            outcomes=tuple(
+                islice(outcomes, request.configs[x].n_instances)
+            ),
+        )
+        for x in request.x_values
+        for h in heuristics
+    }
     return SweepResult(
-        name=name,
-        parameter=parameter,
-        x_values=tuple(float(x) for x in x_values),
+        name=request.name,
+        parameter=request.parameter,
+        x_values=request.x_values,
         heuristics=tuple(heuristics),
         cells=cells,
-        configs=configs,
+        configs=request.configs,
     )

@@ -10,6 +10,7 @@ from repro.api import (
     InstanceSpec,
     ReplayRequest,
     SolveRequest,
+    SweepRequest,
     UnknownStrategyError,
     solve,
 )
@@ -167,3 +168,35 @@ class TestReplayRequest:
 
         trace = make_trace("ramp", seed=3)
         assert ReplayRequest(trace=trace).resolve_trace() is trace
+
+
+class TestSweepRequest:
+    @staticmethod
+    def configs(*xs):
+        from repro.experiments import small_high
+
+        return {x: small_high(n_operators=int(x), n_instances=1) for x in xs}
+
+    def test_points_normalised_to_floats_in_x_order(self):
+        request = SweepRequest("s", "N", [20, 10], self.configs(10, 20),
+                               heuristics=["random"])
+        assert request.x_values == (20.0, 10.0)
+        assert list(request.configs) == [20.0, 10.0]
+        assert all(type(x) is float for x in request.configs)
+        assert request.heuristics == ("random",)
+
+    def test_point_without_config_rejected(self):
+        with pytest.raises(ValueError, match=r"missing \[20.0\]"):
+            SweepRequest("s", "N", (10, 20), self.configs(10))
+
+    def test_unlisted_config_rejected(self):
+        with pytest.raises(ValueError, match=r"unlisted \[20.0\]"):
+            SweepRequest("s", "N", (10,), self.configs(10, 20))
+
+    def test_unknown_heuristic_fails_fast(self):
+        with pytest.raises(UnknownStrategyError):
+            SweepRequest("s", "N", (10,), self.configs(10),
+                         heuristics=("nope",))
+        with pytest.raises(ValueError, match="takes placement"):
+            SweepRequest("s", "N", (10,), self.configs(10),
+                         heuristics=("policy:static",))

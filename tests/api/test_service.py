@@ -188,44 +188,35 @@ class TestReplay:
 
 class TestSweep:
     def test_sweep_request_matches_run_sweep(self):
+        """``api.sweep`` is the campaign engine itself, not a wrapper."""
         from repro.experiments import small_high
         from repro.experiments.runner import run_sweep
 
-        def config_for(n):
-            return small_high(
-                n_operators=int(n), alpha=1.2, n_instances=1,
-                master_seed=3,
-            )
-
-        request = SweepRequest.from_config_fn(
-            "mini", "N", [8, 12], config_for,
+        request = SweepRequest(
+            "mini", "N", (8, 12),
+            {n: small_high(n_operators=n, alpha=1.2, n_instances=1,
+                           master_seed=3)
+             for n in (8, 12)},
             heuristics=("subtree-bottom-up",),
         )
-        via_api = sweep(request)
-        direct = run_sweep(
-            "mini", "N", [8, 12], config_for,
-            heuristics=("subtree-bottom-up",),
-        )
-        for key, cell in direct.cells.items():
-            assert via_api.cells[key].mean_cost == pytest.approx(
-                cell.mean_cost, nan_ok=True
-            )
+        assert sweep is run_sweep
+        result = sweep(request)
+        assert result.x_values == (8.0, 12.0)
+        for x in result.x_values:
+            (outcome,) = result.cells[(x, "subtree-bottom-up")].outcomes
+            assert outcome.succeeded
 
     def test_run_sweep_parallel_identical(self):
         from repro.experiments import small_high
-        from repro.experiments.runner import run_sweep
 
-        def config_for(n):
-            return small_high(
-                n_operators=int(n), alpha=1.2, n_instances=2,
-                master_seed=5,
-            )
-
-        kwargs = dict(heuristics=("random", "subtree-bottom-up"))
-        serial = run_sweep("mini", "N", [10], config_for, **kwargs)
-        parallel = run_sweep(
-            "mini", "N", [10], config_for, executor=2, **kwargs
+        request = SweepRequest(
+            "mini", "N", (10,),
+            {10: small_high(n_operators=10, alpha=1.2, n_instances=2,
+                            master_seed=5)},
+            heuristics=("random", "subtree-bottom-up"),
         )
+        serial = sweep(request)
+        parallel = sweep(request, executor=2)
         for key, cell in serial.cells.items():
             pcell = parallel.cells[key]
             assert [o.cost for o in cell.outcomes] == [

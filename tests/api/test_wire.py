@@ -185,9 +185,10 @@ class TestSweepRoundTrip:
     def test_round_trips_exactly(self):
         from repro.experiments.config import small_high
 
-        request = SweepRequest.from_config_fn(
-            "fig3", "alpha", (0.9, 1.3, 1.7),
-            lambda a: small_high(alpha=a, n_instances=2),
+        alphas = (0.9, 1.3, 1.7)
+        request = SweepRequest(
+            "fig3", "alpha", alphas,
+            {a: small_high(alpha=a, n_instances=2) for a in alphas},
             heuristics=("subtree-bottom-up", "random"),
         )
         back = request_from_wire(_json_round(request_to_wire(request)))

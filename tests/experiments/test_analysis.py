@@ -12,19 +12,20 @@ from repro.experiments.analysis import (
     win_matrix,
 )
 from repro.experiments.config import small_high
+from repro.api import SweepRequest
 from repro.experiments.runner import run_sweep
 
 
 @pytest.fixture(scope="module")
 def mini_sweep():
-    return run_sweep(
-        "mini", "alpha", [1.0, 1.7, 2.6],
-        lambda a: small_high(
-            n_operators=30, alpha=float(a), n_instances=2,
-            master_seed=11,
-        ),
+    alphas = (1.0, 1.7, 2.6)
+    return run_sweep(SweepRequest(
+        "mini", "alpha", alphas,
+        {a: small_high(
+            n_operators=30, alpha=a, n_instances=2, master_seed=11,
+        ) for a in alphas},
         heuristics=("random", "subtree-bottom-up"),
-    )
+    ))
 
 
 class TestWinMatrix:

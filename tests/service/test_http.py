@@ -1,6 +1,7 @@
 """The HTTP front door, end to end over a real localhost socket."""
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -169,6 +170,71 @@ class TestErrors:
         with pytest.raises(ServiceError) as exc_info:
             client.register_tenant("y", wieght=2)
         assert "did you mean 'weight'" in exc_info.value.payload["error"]
+
+
+class TestSweepAtTheDoor:
+    """A malformed sweep is the client's fault: 400 at decode time,
+    never a 500 from inside the campaign or a silently dropped point."""
+
+    @staticmethod
+    def dispatch(wire: dict) -> tuple[int, object]:
+        async def main():
+            server = ServiceHTTPServer(AllocationService())
+            await server.service.start()
+            try:
+                raw = json.dumps({"request": wire}).encode()
+                return await server.dispatch("POST", "/v1/submit", raw)
+            finally:
+                await server.aclose()
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def wire() -> dict:
+        from repro.api import SweepRequest, request_to_wire
+        from repro.experiments import small_high
+
+        return request_to_wire(SweepRequest(
+            "mini", "N", (8,),
+            {8: small_high(n_operators=8, n_instances=1)},
+            heuristics=("subtree-bottom-up",),
+        ))
+
+    def test_valid_sweep_200(self):
+        status, payload = self.dispatch(self.wire())
+        assert status == 200
+        assert payload["result"]["x_values"] == [8.0]
+
+    def test_point_without_config_400(self):
+        wire = self.wire()
+        wire["x_values"].append(10.0)
+        status, payload = self.dispatch(wire)
+        assert status == 400
+        assert "missing [10.0]" in payload["error"]
+
+    def test_unknown_heuristic_400(self):
+        wire = self.wire()
+        wire["heuristics"] = ["nope"]
+        status, payload = self.dispatch(wire)
+        assert status == 400
+        assert "nope" in payload["error"]
+
+    @pytest.mark.parametrize("x", ["abc", [1]])
+    def test_non_numeric_point_400(self, x):
+        wire = self.wire()
+        wire["configs"][0]["x"] = x
+        status, payload = self.dispatch(wire)
+        assert status == 400
+        assert "bad sweep request point" in payload["error"]
+
+    def test_unlisted_config_400(self):
+        wire = self.wire()
+        wire["configs"].append(
+            {"x": 99.0, "config": wire["configs"][0]["config"]}
+        )
+        status, payload = self.dispatch(wire)
+        assert status == 400
+        assert "unlisted [99.0]" in payload["error"]
 
 
 class TestReadTimeout:

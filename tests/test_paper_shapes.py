@@ -19,7 +19,15 @@ from repro.experiments import (
     optimal_comparison,
     small_high,
 )
-from repro.experiments.runner import run_point
+from repro.api import SweepRequest, sweep
+
+
+def run_point(config, heuristics=HEURISTIC_ORDER):
+    """Per-heuristic cells of one population: a one-point sweep."""
+    result = sweep(SweepRequest(
+        "point", "x", (0.0,), {0.0: config}, heuristics=heuristics,
+    ))
+    return {h: result.cells[(0.0, h)] for h in result.heuristics}
 
 
 def mean_costs(config, heuristics=HEURISTIC_ORDER):
