@@ -16,7 +16,11 @@ the router with the unchanged :class:`HttpServiceClient`, and asserts:
 * an async ticket submitted through the router resolves through the
   router;
 * the merged ``/metrics`` scrape parses like a scraper would and every
-  shard's samples appear under its ``shard="..."`` label.
+  shard's samples appear under its ``shard="..."`` label;
+* a shard restarted on the same port while the router holds pooled
+  connections to it serves the next submit of its tenant (200);
+* once that shard is stopped, the next submit of its tenant is the
+  router's 503 ``unreachable`` answer, well within the client timeout.
 
 Exits non-zero on any mismatch.  Run from the repository root::
 
@@ -36,7 +40,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import InstanceSpec, SolveRequest, solve  # noqa: E402
-from repro.service import HttpServiceClient, ServiceError  # noqa: E402
+from repro.service import (  # noqa: E402
+    HttpServiceClient,
+    ServiceError,
+    rendezvous_shard,
+)
 
 TENANTS = ("acme", "globex", "initech", "umbrella")
 #: Wire-level fields that must match a direct solve exactly.
@@ -225,6 +233,60 @@ def main() -> int:
             f"OK: merged /metrics parseable ({n_samples} samples from"
             f" shards {sorted(shard_labels)})"
         )
+
+        # restart acme's shard on its port: the router's pooled link
+        # to the old process is stale, and the next probe over it must
+        # still succeed (retried once on a fresh connection) — first a
+        # fleet health check, since a submit's global-admission load
+        # probe would take that link and tolerate its failure
+        names = [f"127.0.0.1:{port}" for port in shard_ports]
+        index = rendezvous_shard("acme", names)
+        procs[index].terminate()
+        procs[index].wait(timeout=10)
+        procs[index], _ = _spawn(
+            ["serve", "--port", str(shard_ports[index])], env
+        )
+        request = SolveRequest(
+            spec=InstanceSpec(n_operators=9, alpha=1.2, seed=11),
+            seed=11, label="after-restart",
+        )
+        try:
+            client.health()
+            response = client.submit(request, tenant="acme")
+        except (ServiceError, OSError) as err:
+            print(f"FAIL: after a shard restart: {err}")
+            return 1
+        got = _wire_view(response["result"])
+        want = _wire_view(solve(request).to_dict())
+        if got != want:
+            print(f"FAIL: result after restart diverged: {got} != {want}")
+            return 1
+        print(f"OK: shard {names[index]} restarted; its tenant is served")
+
+        # stop it: a specified 503, not a hang
+        procs[index].terminate()
+        procs[index].wait(timeout=10)
+        timeout_s = 30.0
+        started = time.monotonic()
+        try:
+            HttpServiceClient(
+                f"http://127.0.0.1:{router_port}", timeout=timeout_s
+            ).submit(request, tenant="acme")
+        except ServiceError as err:
+            elapsed = time.monotonic() - started
+            if err.status != 503 or "unreachable" not in str(err):
+                print(f"FAIL: stopped shard answered {err.status}: {err}")
+                return 1
+        except OSError as err:
+            print(f"FAIL: submit to a stopped shard raised {err!r}")
+            return 1
+        else:
+            print("FAIL: submit to a stopped shard succeeded")
+            return 1
+        if elapsed >= timeout_s:
+            print(f"FAIL: the 503 took {elapsed:.1f}s")
+            return 1
+        print(f"OK: stopped shard is a 503 unreachable in {elapsed:.2f}s")
 
         print("OK: shard smoke passed (router over 2 shard processes)")
         return 0

@@ -876,6 +876,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"cannot reach {args.url}:"
               f" {err or type(err).__name__}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     result = response.get("result", {})
     if response.get("kind") == "solve":
         if result.get("ok"):
@@ -933,6 +935,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"cannot reach {args.url}:"
                   f" {err or type(err).__name__}", file=sys.stderr)
             return 1
+        finally:
+            client.close()
         spans = [span_from_dict(r) for r in payload.get("spans", ())]
     if not spans:
         print(f"no spans recorded for trace {args.trace_id}",

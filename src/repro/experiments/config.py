@@ -33,6 +33,7 @@ EXPERIMENTS.md for the full derivation):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -70,6 +71,26 @@ N_SWEEP_DEFAULT: tuple[int, ...] = (20, 40, 60, 80, 100, 120, 140)
 ALPHA_SWEEP_DEFAULT: tuple[float, ...] = (
     0.5, 0.7, 0.9, 1.1, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.2, 2.5,
 )
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(config, name: str):
+    """A real field's value; ``TypeError`` otherwise."""
+    value = getattr(config, name)
+    if not _is_real(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _integer(config, name: str):
+    """An integer field's value; ``TypeError`` otherwise."""
+    value = getattr(config, name)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -113,6 +134,44 @@ class ExperimentConfig:
     n_instances: int = 10
     #: Master seed for the whole campaign.
     master_seed: int = 2009
+
+    def __post_init__(self) -> None:
+        # checked here so a malformed sweep body is a 400 at the
+        # service door, not a 500 from inside the campaign
+        for name in ("n_operators", "n_object_types", "n_servers",
+                     "n_instances"):
+            if _integer(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+        _integer(self, "master_seed")
+        _real(self, "alpha")
+        for name in ("frequency_hz", "server_nic_mbps", "link_mbps",
+                     "rho", "ops_per_ghz"):
+            if not _real(self, name) > 0:  # NaN fails too
+                raise ValueError(
+                    f"{name} must be > 0, got {getattr(self, name)}"
+                )
+        if not 0 <= _real(self, "replication_probability") < 1:
+            raise ValueError(
+                f"replication_probability must be in [0, 1), got"
+                f" {self.replication_probability}"
+            )
+        sizes = self.size_range_mb
+        if not (
+            isinstance(sizes, tuple) and len(sizes) == 2
+            and all(_is_real(x) for x in sizes)
+            and 0 < sizes[0] <= sizes[1]
+        ):
+            raise ValueError(
+                f"size_range_mb must be a (low, high) pair with"
+                f" 0 < low <= high, got {sizes!r}"
+            )
+        for name in ("fat_nics", "homogeneous"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(
+                    f"{name} must be a bool, got {getattr(self, name)!r}"
+                )
 
     def with_(self, **changes) -> "ExperimentConfig":
         """Functional update (used by sweep definitions)."""

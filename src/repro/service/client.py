@@ -12,8 +12,9 @@ Two of them, sharing request/response vocabulary:
   object-for-object.
 * :class:`HttpServiceClient` — **over the network**: a stdlib
   ``http.client`` wrapper over the JSON routes of
-  :mod:`repro.service.http`, used by ``repro submit`` and the CI smoke
-  check.  Responses are the wire-level dicts.
+  :mod:`repro.service.http`, one keep-alive connection per thread,
+  used by ``repro submit`` and the CI smoke check.  Responses are the
+  wire-level dicts.
 
 Both raise :class:`~repro.service.broker.AdmissionRejected` (in-process)
 or :class:`ServiceError` with the structured failure payload (HTTP)
@@ -188,7 +189,13 @@ class ServiceError(Exception):
 
 
 class HttpServiceClient:
-    """Stdlib HTTP client for a remote ``repro serve`` instance."""
+    """Stdlib HTTP client for a remote ``repro serve`` instance.
+
+    Each thread keeps one persistent connection to the service.  A
+    request on a reused connection that fails before any status line
+    arrives is retried once on a fresh connection (the service closed
+    that idle connection, so it never read the request); any other
+    failure raises."""
 
     def __init__(self, url: str = "http://127.0.0.1:8642",
                  timeout: float = 600.0) -> None:
@@ -202,30 +209,54 @@ class HttpServiceClient:
         self.host = host or "127.0.0.1"
         self.port = int(port) if port else 8642
         self.timeout = timeout
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (a later request
+        opens a new one)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
 
     def _request(self, method: str, path: str,
-                 payload: "dict | None" = None) -> dict:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+                 payload: "dict | None" = None) -> "dict | str":
+        """One round trip: the decoded JSON body, or the text of a
+        ``text/plain`` one (``/metrics``)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf8")
+            headers["Content-Type"] = "application/json"
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            while True:
+                reused = conn.sock is not None
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                    break
+                except ConnectionError:
+                    conn.close()
+                    if not reused:
+                        raise
             raw = response.read()
-            try:
-                data = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                data = {"error": raw.decode("utf8", "replace")}
-            if response.status not in (200, 202):
-                raise ServiceError(response.status, data)
-            return data
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        content_type = response.getheader("Content-Type") or ""
+        if response.status == 200 and content_type.startswith("text/plain"):
+            return raw.decode("utf8")
+        try:
+            data = json.loads(raw) if raw else {}
+        except json.JSONDecodeError:
+            data = {"error": raw.decode("utf8", "replace")}
+        if response.status not in (200, 202):
+            raise ServiceError(response.status, data)
+        return data
 
     def health(self) -> dict:
         return self._request("GET", "/healthz")
@@ -236,22 +267,7 @@ class HttpServiceClient:
     def metrics(self) -> str:
         """``GET /metrics`` — the raw Prometheus text exposition (the
         one route that is not JSON)."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                try:
-                    data = json.loads(raw) if raw else {}
-                except json.JSONDecodeError:
-                    data = {"error": raw.decode("utf8", "replace")}
-                raise ServiceError(response.status, data)
-            return raw.decode("utf8")
-        finally:
-            conn.close()
+        return self._request("GET", "/metrics")
 
     def trace(self, trace_id: str) -> dict:
         """``GET /v1/trace/<id>`` — ``{"trace_id", "spans": [...]}``.

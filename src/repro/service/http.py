@@ -1,8 +1,12 @@
 """JSON-over-HTTP front door (pure ``asyncio.start_server``, no deps).
 
 A deliberately small HTTP/1.1 implementation — request line, headers,
-``Content-Length`` body, ``Connection: close`` — because the service
-needs a handful of routes and zero framework:
+``Content-Length`` body, persistent connections — because the service
+needs a handful of routes and zero framework.  A connection carries
+requests one after another until the client sends ``Connection:
+close`` or speaks HTTP/1.0, a request cannot be framed (400, 408, 413,
+431, 501 — the connection is closed after the answer), or it sits idle
+for ``read_timeout`` (closed quietly).  Routes:
 
 ========  ================  ================================================
 method    path              body → response
@@ -76,6 +80,9 @@ __all__ = ["BaseHTTPServer", "ServiceHTTPServer"]
 #: this bound is about refusing absurdity, not capacity planning).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Most header lines one request may carry (431 beyond).
+MAX_HEADERS = 100
+
 #: Finished async tickets retained for ``GET /v1/result/<id>`` before
 #: the oldest are evicted (pending tickets are never evicted).
 MAX_ASYNC_RESULTS = 1024
@@ -84,7 +91,9 @@ _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable",
 }
 
 _SUBMIT_FIELDS = ("tenant", "priority", "deadline_s", "bid", "request")
@@ -130,6 +139,17 @@ def _coerce(value: Any, kind, what: str):
         raise _bad(f"bad {what}: {err}") from err
 
 
+async def _readline(reader: asyncio.StreamReader, status: int) -> bytes:
+    """One line of a request; ``status`` answers a line longer than the
+    stream's limit (64 KiB)."""
+    try:
+        return await reader.readline()
+    except ValueError as err:
+        raise _HTTPError(
+            status, {"error": "request line or header line too long"}
+        ) from err
+
+
 def _result_payload(request, result) -> dict:
     """Encode a completed request's result for the wire."""
     if isinstance(request, SolveRequest):
@@ -154,8 +174,12 @@ def _result_payload(request, result) -> dict:
 
 class BaseHTTPServer:
     """The transport half of the front door: a minimal HTTP/1.1 server
-    on ``asyncio.start_server`` that parses one request per connection
-    and hands ``(method, path, body)`` to :meth:`dispatch`.
+    on ``asyncio.start_server`` that reads the requests of a persistent
+    connection one after another and hands each ``(method, path,
+    body)`` to :meth:`dispatch`.  A connection stays open after a
+    response unless the request was HTTP/1.0, asked for ``Connection:
+    close`` or could not be framed; an idle one is closed after
+    ``read_timeout``, and :meth:`aclose` closes the idle ones at once.
 
     Subclasses provide :meth:`dispatch` (the *app layer*, returning
     ``(status, payload)`` and never raising) plus optional
@@ -174,12 +198,16 @@ class BaseHTTPServer:
     ) -> None:
         self.host = host
         self.port = port
-        #: Budget for *reading* one request (line + headers + body); a
-        #: client that connects and stalls must not pin a handler
-        #: forever.  Processing time is unbounded by design — submit
-        #: holds the connection while the request queues and solves.
+        #: Budget for *reading* one request (line + headers + body), and
+        #: for waiting on the next one of an idle connection; a client
+        #: that connects and stalls must not pin a handler forever.
+        #: Processing time is unbounded by design — submit holds the
+        #: connection while the request queues and solves.
         self.read_timeout = read_timeout
         self._server: asyncio.AbstractServer | None = None
+        #: writers of connections waiting for their next request
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     async def dispatch(
         self, method: str, path: str, raw: bytes
@@ -203,14 +231,21 @@ class BaseHTTPServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then leave the shutdown to
+        :meth:`aclose` (``Server.serve_forever`` would wait for every
+        idle keep-alive connection on Python 3.12)."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def aclose(self) -> None:
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            # busy connections close after their response; idle ones
+            # are closed here, or wait_closed() waits out read_timeout
+            for writer in self._idle:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self._on_close()
@@ -222,38 +257,60 @@ class BaseHTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        keep_alive = True
         try:
-            try:
-                method, path, raw = await asyncio.wait_for(
-                    self._read_request(reader), self.read_timeout
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError):
-                status, payload = 408, {
-                    "error": "timed out (or disconnected) while reading"
-                             " the request"
-                }
-            else:
-                status, payload = await self.dispatch(method, path, raw)
-        except _HTTPError as err:
-            status, payload = err.status, err.payload
-        except Exception as err:  # noqa: BLE001 — a 500, not a crash
-            status, payload = 500, {"error": f"{type(err).__name__}: {err}"}
-        try:
-            if isinstance(payload, _PlainText):
-                body = payload.text.encode("utf8")
-                content_type = payload.content_type
-            else:
-                body = json.dumps(payload, sort_keys=True).encode("utf8")
-                content_type = "application/json"
-            head = (
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("ascii")
-            writer.write(head + body)
-            await writer.drain()
+            while keep_alive and not self._closing:
+                self._idle.add(writer)
+                try:
+                    first = await asyncio.wait_for(
+                        reader.read(1), self.read_timeout
+                    )
+                except (asyncio.TimeoutError, ConnectionError):
+                    return  # idle past read_timeout: close quietly
+                finally:
+                    self._idle.discard(writer)
+                if not first:
+                    return  # the peer closed between requests
+                keep_alive = False  # until the request frames cleanly
+                try:
+                    try:
+                        method, path, raw, keep_alive = await asyncio.wait_for(
+                            self._read_request(first, reader),
+                            self.read_timeout,
+                        )
+                    except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                            ConnectionError):
+                        status, payload = 408, {
+                            "error": "timed out (or disconnected) while"
+                                     " reading the request"
+                        }
+                    else:
+                        status, payload = await self.dispatch(
+                            method, path, raw
+                        )
+                except _HTTPError as err:
+                    status, payload = err.status, err.payload
+                except Exception as err:  # noqa: BLE001 — a 500, not a crash
+                    status, payload = 500, {
+                        "error": f"{type(err).__name__}: {err}"
+                    }
+                keep_alive = keep_alive and not self._closing
+                if isinstance(payload, _PlainText):
+                    body = payload.text.encode("utf8")
+                    content_type = payload.content_type
+                else:
+                    body = json.dumps(payload, sort_keys=True).encode("utf8")
+                    content_type = "application/json"
+                head = (
+                    f"HTTP/1.1 {status}"
+                    f" {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+                    f"Content-Type: {content_type}\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                    f"\r\n\r\n"
+                ).encode("ascii")
+                writer.write(head + body)
+                await writer.drain()
         except (ConnectionError, RuntimeError):
             pass  # client went away mid-response
         finally:
@@ -264,27 +321,48 @@ class BaseHTTPServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, bytes]:
-        """Read one request off the socket: (method, path, body)."""
-        request_line = (await reader.readline()).decode("latin1").strip()
+        self, first: bytes, reader: asyncio.StreamReader
+    ) -> tuple[str, str, bytes, bool]:
+        """Read the rest of one request whose first byte is ``first``:
+        ``(method, path, body, keep_alive)``.  A request that cannot be
+        framed raises :class:`_HTTPError`, and its connection closes."""
+        request_line = (
+            first + await _readline(reader, 400)
+        ).decode("latin1").strip()
         if not request_line:
             raise _bad("empty request")
         parts = request_line.split()
         if len(parts) != 3:
             raise _bad(f"malformed request line {request_line!r}")
-        method, path, _version = parts
+        method, path, version = parts
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            line = await _readline(reader, 431)
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = _coerce(
-            headers.get("content-length", "0") or "0", int,
-            "Content-Length header",
-        )
+            name, colon, value = line.decode("latin1").partition(":")
+            name = name.strip().lower()
+            if not colon or not name:
+                raise _bad(f"malformed header line {line!r}")
+            if name == "content-length" and name in headers:
+                raise _bad("duplicate Content-Length header")
+            headers[name] = value.strip()
+        else:
+            raise _HTTPError(
+                431, {"error": f"more than {MAX_HEADERS} header lines"}
+            )
+        if "transfer-encoding" in headers:
+            raise _HTTPError(
+                501, {"error": "Transfer-Encoding is not supported;"
+                               " send the body with a Content-Length"}
+            )
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _bad(
+                f"bad Content-Length header {length_text!r}: expected a"
+                f" non-negative integer"
+            )
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise _HTTPError(
                 413,
@@ -292,15 +370,21 @@ class BaseHTTPServer:
                           f" {MAX_BODY_BYTES}-byte limit"},
             )
         raw = await reader.readexactly(length) if length else b""
-        return method, path, raw
+        tokens = headers.get("connection", "").lower().split(",")
+        keep_alive = version == "HTTP/1.1" and not any(
+            token.strip() == "close" for token in tokens
+        )
+        return method, path, raw, keep_alive
 
     def _json_body(self, raw: bytes, what: str) -> dict:
         if not raw:
             raise _bad(f"{what} needs a JSON body")
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
             raise _bad(f"invalid JSON body: {err}") from err
+        except RecursionError as err:
+            raise _bad("invalid JSON body: nested too deeply") from err
         if not isinstance(data, dict):
             raise _bad(f"{what} body must be a JSON object")
         return data

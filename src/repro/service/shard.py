@@ -12,7 +12,7 @@ regime:
   either in-process (:class:`LocalShard`, the app layer of
   :class:`~repro.service.http.ServiceHTTPServer` with no socket) or
   over the existing JSON-over-HTTP wire unchanged (:class:`HttpShard`,
-  a running ``repro serve``);
+  a running ``repro serve``, over pooled keep-alive connections);
 * **global front tier** — :class:`ShardRouter` owns the tenant→shard
   map (rendezvous hashing with explicit pins), proxies ``/v1/submit``
   (sync and async tickets), ``/v1/cancel``, ``/v1/result``, and
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import http.client
 import json
 import time
 import urllib.parse
@@ -67,6 +66,12 @@ __all__ = [
 ]
 
 _log = get_logger("service.shard")
+
+#: Idle keep-alive connections an :class:`HttpShard` keeps to its shard
+#: (a connection beyond this is closed when its response is read).
+MAX_IDLE_SHARD_CONNECTIONS = 16
+
+_Stream = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 #: Mirrors the single-shard server's route list so a router's 404/405
 #: prose matches what one shard would have said.
@@ -210,8 +215,17 @@ class LocalShard(ShardBackend):
 
 class HttpShard(ShardBackend):
     """A shard reached over the existing JSON-over-HTTP wire — any
-    running ``repro serve`` instance, completely unchanged.  Blocking
-    stdlib HTTP, run off-loop via ``asyncio.to_thread``."""
+    running ``repro serve`` instance, completely unchanged.
+
+    Requests ride a pool of persistent asyncio connections: a request
+    takes the most recently used idle connection (or opens one), and
+    the connection goes back to the pool when the shard keeps it open,
+    at most :data:`MAX_IDLE_SHARD_CONNECTIONS` of them.  A request on a
+    reused connection that fails before any status line arrives is
+    retried once on a fresh connection — the shard closed that idle
+    connection, so it never read the request.  Any other failure, and
+    every failure on a fresh connection, is a 503 ``unreachable``; a
+    request whose response had started is never retried."""
 
     def __init__(self, base_url: str, *, timeout: float = 120.0) -> None:
         parsed = urllib.parse.urlsplit(
@@ -230,41 +244,100 @@ class HttpShard(ShardBackend):
         self.port = parsed.port
         self.timeout = timeout
         self.name = f"{self.host}:{self.port}"
+        #: idle keep-alive connections, most recently used last
+        self._idle: list[_Stream] = []
+
+    async def aclose(self) -> None:
+        """Close the pooled connections (the shard itself is managed
+        elsewhere)."""
+        while self._idle:
+            self._idle.pop()[1].close()
 
     async def request(
         self, method: str, path: str, raw: bytes
     ) -> "tuple[int, object]":
-        return await asyncio.to_thread(self._request_sync, method, path, raw)
-
-    def _request_sync(
-        self, method: str, path: str, raw: bytes
-    ) -> "tuple[int, object]":
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
         try:
-            headers = (
-                {"Content-Type": "application/json"} if raw else {}
+            return await asyncio.wait_for(
+                self._request(method, path, raw), self.timeout
             )
-            conn.request(method, path, body=raw or None, headers=headers)
-            response = conn.getresponse()
-            body = response.read()
-            content_type = response.getheader("Content-Type", "") or ""
-            if content_type.startswith("text/plain"):
-                return response.status, _PlainText(body.decode("utf8"))
-            try:
-                payload = json.loads(body) if body else {}
-            except json.JSONDecodeError:
-                payload = {"error": f"shard {self.name} returned a"
-                                    f" non-JSON body"}
-            return response.status, payload
-        except (OSError, http.client.HTTPException) as err:
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ValueError) as err:
             return 503, {
                 "error": f"shard {self.name} unreachable:"
                          f" {type(err).__name__}: {err}"
             }
-        finally:
-            conn.close()
+
+    async def _request(
+        self, method: str, path: str, raw: bytes
+    ) -> "tuple[int, object]":
+        if self._idle:
+            response = await self._exchange(
+                self._idle.pop(), method, path, raw
+            )
+            if response is not None:
+                return response
+        stream = await asyncio.open_connection(self.host, self.port)
+        response = await self._exchange(stream, method, path, raw)
+        if response is None:
+            raise ConnectionError("closed before answering")
+        return response
+
+    async def _exchange(
+        self, stream: _Stream, method: str, path: str, raw: bytes
+    ) -> "tuple[int, object] | None":
+        """One request/response on ``stream``; ``None`` when the
+        connection failed before any status line arrived.  The stream
+        goes back to the pool if the shard keeps it open, and is closed
+        otherwise."""
+        reader, writer = stream
+        headers: dict[str, str] = {}
+        try:
+            head = (
+                f"{method} {path} HTTP/1.1\r\nHost: {self.name}\r\n"
+                f"Content-Length: {len(raw)}\r\n"
+            )
+            if raw:
+                head += "Content-Type: application/json\r\n"
+            try:
+                writer.write(head.encode("latin1") + b"\r\n" + raw)
+                await writer.drain()
+                status_line = await reader.readline()
+            except ConnectionError:
+                status_line = b""
+            if not status_line:
+                writer.close()
+                return None
+            status = int(status_line.partition(b" ")[2][:3])
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = headers.get("content-length")
+            body = (
+                await reader.readexactly(int(length))
+                if length is not None else await reader.read()
+            )
+        except BaseException:
+            writer.close()
+            raise
+        if (
+            length is not None
+            and headers.get("connection", "").lower() != "close"
+            and len(self._idle) < MAX_IDLE_SHARD_CONNECTIONS
+        ):
+            self._idle.append(stream)
+        else:
+            writer.close()
+        if headers.get("content-type", "").startswith("text/plain"):
+            return status, _PlainText(body.decode("utf8"))
+        try:
+            payload = json.loads(body) if body else {}
+        except ValueError:
+            payload = {"error": f"shard {self.name} returned a"
+                                f" non-JSON body"}
+        return status, payload
 
 
 # ----------------------------------------------------------------------
@@ -359,6 +432,15 @@ def merge_metrics_texts(
 # ----------------------------------------------------------------------
 # the router
 # ----------------------------------------------------------------------
+
+def _peek_json(raw: bytes) -> object:
+    """A body's JSON for routing decisions, ``None`` when it does not
+    decode — the owning shard then answers the canonical 400."""
+    try:
+        return json.loads(raw) if raw else None
+    except (ValueError, RecursionError):
+        return None
+
 
 class ShardRouter:
     """The global front tier: tenant→shard routing, global admission,
@@ -549,10 +631,7 @@ class ShardRouter:
         tenant = "default"
         trace_id = None
         bid = None
-        try:
-            body = json.loads(raw) if raw else None
-        except json.JSONDecodeError:
-            body = None
+        body = _peek_json(raw)
         if isinstance(body, dict):
             if isinstance(body.get("tenant"), str):
                 tenant = body["tenant"]
@@ -603,10 +682,7 @@ class ShardRouter:
     async def _cancel(self, raw: bytes) -> "tuple[int, object]":
         if self.n_shards == 1:
             return await self._forward(0, "POST", "/v1/cancel", raw)
-        try:
-            body = json.loads(raw) if raw else None
-        except json.JSONDecodeError:
-            body = None
+        body = _peek_json(raw)
         if not isinstance(body, dict) or not isinstance(
             body.get("ticket"), int
         ):
@@ -619,10 +695,7 @@ class ShardRouter:
         )
 
     async def _register(self, raw: bytes) -> "tuple[int, object]":
-        try:
-            body = json.loads(raw) if raw else None
-        except json.JSONDecodeError:
-            body = None
+        body = _peek_json(raw)
         name = (
             body.get("name") if isinstance(body, dict) else None
         )

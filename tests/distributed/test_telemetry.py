@@ -214,10 +214,20 @@ class TestSigkillPropagation:
         SIGKILL'd mid-campaign.  The requeued tasks re-execute on the
         survivor under the *same* trace id with a ``retry`` attribute,
         and the results stay bit-identical to serial — telemetry rides
-        along, it never steers."""
+        along, it never steers.
+
+        Each request runs the whole placement portfolio with local
+        search on a 100-operator tree (about 11 ms of solving), so a
+        task stays in flight long enough for the kill to land on one:
+        the SIGKILL is sent only while the coordinator shows the victim
+        holding a task."""
+        from repro.api import registry
+
+        portfolio = tuple(registry.names("placement"))
         requests = [
             SolveRequest(
-                spec=InstanceSpec(n_operators=8, alpha=1.4, seed=s),
+                spec=InstanceSpec(n_operators=100, alpha=1.2, seed=s),
+                portfolio=portfolio, refine=True,
                 seed=s, trace_id=new_trace_id(),
             )
             for s in range(16)
@@ -239,10 +249,17 @@ class TestSigkillPropagation:
             campaign = threading.Thread(target=run_campaign, daemon=True)
             campaign.start()
             deadline = time.monotonic() + 120
-            while executor.stats()["completed"] < 3:
+
+            def victim_busy() -> bool:
+                return any(
+                    worker["pid"] == procs[0].pid and worker["in_flight"]
+                    for worker in executor.stats()["workers"].values()
+                )
+
+            while not victim_busy():
                 assert time.monotonic() < deadline, "campaign stalled"
                 assert campaign.is_alive()
-                time.sleep(0.01)
+                time.sleep(0.001)
             procs[0].kill()
             procs[0].wait(timeout=30)
             campaign.join(timeout=300)

@@ -150,7 +150,9 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    client = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    yield client
+    client.close()  # its keep-alive connection
 
 
 class TestAsyncSubmit:

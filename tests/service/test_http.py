@@ -38,7 +38,9 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    client = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    yield client
+    client.close()  # its keep-alive connection
 
 
 class TestRoutes:
@@ -227,6 +229,20 @@ class TestSweepAtTheDoor:
         assert status == 400
         assert "bad sweep request point" in payload["error"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_instances", -1, "n_instances must be >= 1"),
+        ("n_operators", 0, "n_operators must be >= 1"),
+        ("alpha", "x", "alpha must be a number"),
+    ])
+    def test_bad_config_field_400(self, field, value, message):
+        """Checked by ExperimentConfig itself, at decode time — before
+        admission spends a token or a fee."""
+        wire = self.wire()
+        wire["configs"][0]["config"][field] = value
+        status, payload = self.dispatch(wire)
+        assert status == 400
+        assert message in payload["error"]
+
     def test_unlisted_config_400(self):
         wire = self.wire()
         wire["configs"].append(
@@ -264,3 +280,210 @@ class TestReadTimeout:
             ).result(30)
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10)
+
+
+def _read_response(stream) -> tuple[int, dict, bytes]:
+    """One HTTP response off a socket file: ``(status, headers, body)``,
+    header names lower-cased."""
+    status_line = stream.readline()
+    assert status_line, "connection closed before any response"
+    status = int(status_line.split()[1])
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return status, headers, body
+
+
+class _CountingServer(ServiceHTTPServer):
+    """Counts the connections it accepts."""
+
+    accepted = 0
+
+    async def _handle_connection(self, reader, writer):
+        self.accepted += 1
+        await super()._handle_connection(reader, writer)
+
+
+def _assert_closed(stream) -> None:
+    """The server closed the connection (a reset counts: it closed
+    with bytes of ours unread)."""
+    try:
+        assert stream.read() == b""
+    except ConnectionResetError:
+        pass
+
+
+@pytest.fixture()
+def hosted():
+    """Start a fresh connection-counting :class:`ServiceHTTPServer`
+    (with the given keywords) on a background event-loop thread;
+    closed at teardown."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    servers = []
+
+    def start(**kwargs) -> ServiceHTTPServer:
+        server = _CountingServer(AllocationService(), port=0, **kwargs)
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result(30)
+        servers.append(server)
+        return server
+
+    def aclose(server) -> None:
+        asyncio.run_coroutine_threadsafe(server.aclose(), loop).result(30)
+        servers.remove(server)
+
+    start.aclose = aclose
+    yield start
+    for server in servers:
+        aclose(server)
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestKeepAlive:
+    def test_two_requests_on_one_socket(self, server):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock, sock.makefile("rb") as stream:
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, headers, body = _read_response(stream)
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                assert json.loads(body) == {"ok": True}
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    ])
+    def test_closed_after_one_response(self, server, request_head):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock, sock.makefile("rb") as stream:
+            # a second request rides along; it must go unanswered
+            sock.sendall(request_head + b"GET /healthz HTTP/1.1\r\n\r\n")
+            status, headers, _ = _read_response(stream)
+            assert status == 200
+            assert headers["connection"] == "close"
+            _assert_closed(stream)
+
+    def test_idle_connection_closed_quietly(self, hosted):
+        import socket
+        import time
+
+        server = hosted(read_timeout=0.3)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock, sock.makefile("rb") as stream:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(stream)[0] == 200
+            started = time.monotonic()
+            assert stream.read() == b""  # closed, and no 408
+            assert time.monotonic() - started < 5
+
+    def test_aclose_returns_while_a_client_holds_an_idle_connection(
+        self, hosted
+    ):
+        """Python 3.12's ``Server.wait_closed()`` waits for every open
+        connection, so ``aclose()`` must close the idle ones itself."""
+        import socket
+        import time
+
+        server = hosted()
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock, sock.makefile("rb") as stream:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(stream)[0] == 200
+            started = time.monotonic()
+            hosted.aclose(server)
+            assert time.monotonic() - started < 1.0
+            sock.settimeout(1.0)  # closed now, not after read_timeout
+            assert stream.read() == b""
+
+    def test_client_reuses_its_connection_and_survives_an_idle_close(
+        self, hosted
+    ):
+        import time
+
+        server = hosted(read_timeout=0.3)
+        client = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+        try:
+            for _ in range(3):
+                assert client.health() == {"ok": True}
+            assert server.accepted == 1
+            time.sleep(0.6)  # the server closes the idle connection
+            assert client.health() == {"ok": True}  # retried once
+            assert server.accepted == 2
+        finally:
+            client.close()
+
+    def test_metrics_and_json_share_the_connection(self, hosted):
+        server = hosted()
+        client = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+        try:
+            assert client.metrics().startswith("#")
+            assert client.health() == {"ok": True}
+            with pytest.raises(ServiceError) as exc_info:
+                client._request("GET", "/nope")
+            assert exc_info.value.status == 404
+            assert server.accepted == 1
+        finally:
+            client.close()
+
+
+class TestFraming:
+    """A persistent connection needs exact framing: anything the
+    server cannot frame is answered and the connection closed, so the
+    next bytes are never read as a request."""
+
+    @pytest.mark.parametrize("headers, status", [
+        (b"Content-Length: -1\r\n", 400),
+        (b"Content-Length: abc\r\n", 400),
+        (b"Content-Length: 5\r\nContent-Length: 16\r\n", 400),
+        (b"Transfer-Encoding: chunked\r\n", 501),
+        (b"X-Filler: y\r\n" * 101, 431),
+        (b"NoColonHere\r\n", 400),
+        (b"X-Long: " + b"a" * 70_000 + b"\r\n", 431),
+    ])
+    def test_unframeable_request_answered_then_closed(
+        self, server, headers, status
+    ):
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock, sock.makefile("rb") as stream:
+            sock.sendall(
+                b"POST /v1/cancel HTTP/1.1\r\n" + headers + b"\r\n"
+                b"5\r\n{\"ticket\": 1}\r\n0\r\n\r\n"
+            )
+            got, response_headers, body = _read_response(stream)
+            assert got == status, body
+            assert response_headers["connection"] == "close"
+            assert "error" in json.loads(body)
+            _assert_closed(stream)
+
+    def test_deeply_nested_json_is_a_400(self, client):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        import http.client as hc
+
+        conn = hc.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/submit", body=deep)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert b"nested too deeply" in response.read()
+        finally:
+            conn.close()

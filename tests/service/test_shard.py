@@ -13,7 +13,10 @@ The load-bearing contracts:
   through one router resolves through a *freshly built* router (the
   restart case — the tenant map is recomputed, the shards kept);
 * ``/stats`` aggregation recomputes fleet percentiles from merged raw
-  windows instead of averaging per-shard percentiles.
+  windows instead of averaging per-shard percentiles;
+* an :class:`HttpShard` reuses its pooled connections, retries a
+  request once on a fresh connection only when a reused one failed
+  before any status line arrived, and drops its pool on shutdown.
 """
 
 import asyncio
@@ -27,6 +30,7 @@ from repro.api import InstanceSpec, ReplayRequest, SolveRequest
 from repro.api.wire import request_to_wire
 from repro.service import (
     AllocationService,
+    HttpShard,
     LocalShard,
     ServiceHTTPServer,
     ShardRouter,
@@ -597,3 +601,153 @@ class TestMetricsMerge:
             assert name_part
             n += 1
         assert n == 5
+
+
+class TestRouterBodies:
+    @pytest.mark.parametrize("path", [
+        "/v1/submit", "/v1/cancel", "/v1/tenants",
+    ])
+    def test_too_deep_json_is_the_shards_400(self, path):
+        """The router peeks into bodies to route them; a body too deep
+        to decode is forwarded, and the shard's canonical 400 comes
+        back — never a 500."""
+        async def main():
+            router = ShardRouter(
+                [LocalShard(name=f"shard-{i}") for i in range(2)]
+            )
+            await router.start()
+            try:
+                return await router.dispatch(
+                    "POST", path, b"[" * 100_000 + b"]" * 100_000
+                )
+            finally:
+                await router.aclose()
+
+        status, payload = run(main())
+        assert status == 400
+        assert "nested too deeply" in payload["error"]
+
+
+# ----------------------------------------------------------------------
+# HttpShard's keep-alive pool
+# ----------------------------------------------------------------------
+
+class _CountingServer(ServiceHTTPServer):
+    """Counts the connections it accepts."""
+
+    accepted = 0
+
+    async def _handle_connection(self, reader, writer):
+        self.accepted += 1
+        await super()._handle_connection(reader, writer)
+
+
+async def _read_head(reader) -> bytes:
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = await reader.readline()
+        if not line:
+            break
+        head += line
+    return head
+
+
+class TestHttpShardPool:
+    def test_sequential_calls_reuse_one_connection(self):
+        async def main():
+            server = _CountingServer(AllocationService(), port=0)
+            await server.start()
+            shard = HttpShard(f"127.0.0.1:{server.port}")
+            router = ShardRouter([shard])
+            await router.start()
+            try:
+                for _ in range(3):
+                    assert await router.dispatch(
+                        "GET", "/healthz", b""
+                    ) == (200, {"ok": True})
+                status, text = await router.dispatch(
+                    "GET", "/metrics", b""
+                )
+                assert status == 200 and text.text.startswith("#")
+                assert server.accepted == 1
+                assert len(shard._idle) == 1
+            finally:
+                await router.aclose()  # closes the pooled connection
+                assert shard._idle == []
+                await server.aclose()
+
+        run(main())
+
+    def test_stale_pooled_connection_is_retried_once(self):
+        async def main():
+            server = _CountingServer(
+                AllocationService(), port=0, read_timeout=0.2
+            )
+            await server.start()
+            shard = HttpShard(f"127.0.0.1:{server.port}")
+            try:
+                assert (await shard.request("GET", "/healthz", b""))[0] == 200
+                await asyncio.sleep(0.5)  # the shard drops the idle link
+                status, payload = await shard.request(
+                    "POST", "/v1/submit", submit_raw(solve_req(3), "acme")
+                )
+                assert status == 200, payload
+                assert server.accepted == 2
+            finally:
+                await shard.aclose()
+                await server.aclose()
+
+        run(main())
+
+    def test_started_response_is_never_retried(self):
+        """The connection dies mid-body on its second request: that
+        is a 503, and the request is not sent again."""
+        requests = []
+
+        async def half_answering(reader, writer):
+            await _read_head(reader)
+            requests.append(writer)
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+            await writer.drain()
+            if await _read_head(reader):
+                requests.append(writer)
+                writer.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"p"
+                )
+                await writer.drain()
+            writer.close()
+
+        async def main():
+            fake = await asyncio.start_server(
+                half_answering, "127.0.0.1", 0
+            )
+            port = fake.sockets[0].getsockname()[1]
+            shard = HttpShard(f"127.0.0.1:{port}")
+            try:
+                first = await shard.request("GET", "/healthz", b"")
+                second = await shard.request("GET", "/healthz", b"")
+            finally:
+                await shard.aclose()
+                fake.close()
+            return first, second
+
+        first, second = run(main())
+        assert first == (200, {})
+        assert second[0] == 503
+        assert "unreachable" in second[1]["error"]
+        assert len(requests) == 2
+        assert requests[0] is requests[1]  # one connection, no retry
+
+    def test_fresh_connection_failure_is_503(self):
+        import socket
+
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        status, payload = run(
+            HttpShard(f"127.0.0.1:{port}").request("GET", "/healthz", b"")
+        )
+        assert status == 503
+        assert payload["error"].startswith(
+            f"shard 127.0.0.1:{port} unreachable:"
+        )

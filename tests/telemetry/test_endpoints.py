@@ -34,7 +34,9 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    client = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+    yield client
+    client.close()  # its keep-alive connection
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,7 @@ def traced_solve(server):
         trace_id=trace_id,
     )
     response = client.submit(request, tenant="traced")
+    client.close()
     assert response["result"]["ok"] is True
     assert response["result"]["trace_id"] == trace_id
     return trace_id
@@ -213,7 +216,7 @@ class TestSubmitPrintsTrace:
         m = re.search(r"trace ([0-9a-f]{16})", out)
         assert m, out
         # and that trace is immediately fetchable
-        payload = HttpServiceClient(
-            f"http://127.0.0.1:{server.port}"
-        ).trace(m.group(1))
+        fetcher = HttpServiceClient(f"http://127.0.0.1:{server.port}")
+        payload = fetcher.trace(m.group(1))
+        fetcher.close()
         assert any(s["name"] == "api.solve" for s in payload["spans"])
