@@ -17,6 +17,9 @@ the router with the unchanged :class:`HttpServiceClient`, and asserts:
   router;
 * the merged ``/metrics`` scrape parses like a scraper would and every
   shard's samples appear under its ``shard="..."`` label;
+* the merged ``/stats`` totals equal the merged ``/metrics`` request
+  and rejection counters summed across shards — the JSON and the
+  scrape of a fleet are one registry and can never disagree;
 * a shard restarted on the same port while the router holds pooled
   connections to it serves the next submit of its tenant (200);
 * once that shard is stopped, the next submit of its tenant is the
@@ -233,6 +236,31 @@ def main() -> int:
             f"OK: merged /metrics parseable ({n_samples} samples from"
             f" shards {sorted(shard_labels)})"
         )
+
+        # /stats totals == the scrape's counters summed over the fleet
+        scraped: dict[str, float] = {}
+        for family, labels, value in re.findall(
+            r"^(repro_service_requests_total|repro_service_rejections_total"
+            r"|repro_router_rejections_total)\{([^}]*)\} (\S+)$",
+            metrics_text, re.M,
+        ):
+            if family == "repro_service_requests_total":
+                key = re.search(r'outcome="([^"]*)"', labels).group(1)
+            elif 'stage="preempted"' in labels:
+                continue  # a preempted request was admitted
+            else:
+                key = "rejected"
+            scraped[key] = scraped.get(key, 0) + float(value)
+        stats = client.stats()
+        for key in sorted(set(scraped) | (set(stats["totals"]) - {"spent"})):
+            if stats["totals"].get(key, 0) != scraped.get(key, 0):
+                print(
+                    f"FAIL: /stats totals[{key!r}] ="
+                    f" {stats['totals'].get(key, 0)} but merged /metrics"
+                    f" sums to {scraped.get(key, 0)}"
+                )
+                return 1
+        print(f"OK: /stats totals match merged /metrics: {scraped}")
 
         # restart acme's shard on its port: the router's pooled link
         # to the old process is stale, and the next probe over it must

@@ -67,7 +67,6 @@ from .shard import (
     RouterHTTPServer,
     ShardBackend,
     ShardRouter,
-    merge_metrics_texts,
     parse_shard_map,
     rendezvous_shard,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "TenantRegistry",
     "Ticket",
     "TokenBucket",
-    "merge_metrics_texts",
     "parse_shard_map",
     "parse_tenant_spec",
     "percentile",

@@ -36,8 +36,8 @@ Observability: each service owns a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (:attr:`metrics`).
 Every count, latency and level is recorded there exactly once, at the
 site where it happens; ``/stats`` (:meth:`AllocationService.snapshot`),
-``/v1/shard/samples`` (:meth:`AllocationService.samples`) and
-``/metrics`` are read-only views over it.
+``/metrics`` and the shard-control ``/v1/shard/metrics`` export a
+router folds into its fleet registry are read-only views over it.
 
 Determinism: the service adds no entropy.  A seeded request produces
 the *same* :class:`~repro.api.requests.SolveResult` (allocation,
@@ -826,27 +826,6 @@ class AllocationService:
         """Requests currently executing."""
         return self._in_flight
 
-    def _queue_waits(self) -> "tuple[list[float], int]":
-        """Every registered tenant's retained queue-wait window,
-        concatenated in registry order, and the lifetime count."""
-        children = self._queue_wait.children()
-        window: list[float] = []
-        total = 0
-        for state in self.registry:
-            child = children.get((state.name,))
-            if child is not None:
-                window.extend(child.values)
-                total += child.count
-        return window, total
-
-    def samples(self) -> dict:
-        """Raw retained queue-wait samples (and the lifetime count they
-        were drawn from), concatenated across tenants.  A router merges
-        these windows across shards and recomputes the percentiles —
-        shard-local p99s cannot be averaged into a fleet p99."""
-        waits, total = self._queue_waits()
-        return {"queue_wait": waits, "queue_wait_total": total}
-
     def snapshot(self) -> dict:
         """JSON-able service + per-tenant state for ``/stats``: a view
         over :attr:`metrics` plus the live queue, tenant and account
@@ -866,6 +845,10 @@ class AllocationService:
         totals["rejected"] = sum(unattributed.values())
         preempted_total = 0
         spent = 0.0
+        # the service-wide queue-wait window: every tenant's, in
+        # registry order
+        window: list[float] = []
+        waited = 0
         tenants = {}
         for state in self.registry:
             name, config = state.name, state.config
@@ -897,6 +880,9 @@ class AllocationService:
                 child = children.get((name,))
                 if child is not None:
                     row[key] = child.summary()
+            if (name,) in waits:
+                window.extend(waits[(name,)].values)
+                waited += waits[(name,)].count
             if config.tier != "standard":
                 row["tier"] = config.tier
             if config.admission_price:
@@ -936,7 +922,7 @@ class AllocationService:
             "unattributed_rejections": unattributed,
             "tenants": tenants,
         }
-        queue_wait = summarize(*self._queue_waits())
+        queue_wait = summarize(window, waited)
         if queue_wait is not None:
             out["service"]["queue_wait_s"] = queue_wait
         return out

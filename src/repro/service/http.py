@@ -69,7 +69,7 @@ from ..api.wire import (
     _reject_unknown,
     request_from_wire,
 )
-from ..telemetry import scrape, span_to_dict
+from ..telemetry import get_registry, scrape, span_to_dict
 from ..telemetry.trace import TRACE_STORE
 from .broker import AdmissionRejected, AllocationService
 from .tenants import TenantConfig, tier_rank
@@ -97,6 +97,13 @@ _STATUS_TEXT = {
 }
 
 _SUBMIT_FIELDS = ("tenant", "priority", "deadline_s", "bid", "request")
+
+#: The public routes, named in a shard's and a router's 404/405 alike.
+KNOWN_ROUTES = (
+    "GET /healthz, GET /stats, GET /metrics,"
+    " POST /v1/submit[?mode=async], GET /v1/result/<id>,"
+    " GET /v1/trace/<id>, POST /v1/cancel, POST /v1/tenants"
+)
 
 
 class _HTTPError(Exception):
@@ -148,6 +155,16 @@ async def _readline(reader: asyncio.StreamReader, status: int) -> bytes:
         raise _HTTPError(
             status, {"error": "request line or header line too long"}
         ) from err
+
+
+def _no_route(method: str, path: str) -> tuple[int, dict]:
+    """The 405 (known path) or 404 answer for an unrouted request."""
+    if path in ("/healthz", "/stats", "/metrics", "/v1/submit",
+                "/v1/cancel", "/v1/tenants"):
+        return 405, {"error": f"wrong method for {path}"
+                              f" (routes: {KNOWN_ROUTES})"}
+    return 404, {"error": f"no route {method} {path}"
+                          f" (routes: {KNOWN_ROUTES})"}
 
 
 def _result_payload(request, result) -> dict:
@@ -484,9 +501,9 @@ class ServiceHTTPServer(BaseHTTPServer):
             self.service.registry.register(config)
             return 200, {"registered": config.name}
         # shard-control plane (router → shard; additive, undocumented
-        # in the public route list): load and raw latency samples for
-        # global admission and stats aggregation, plus the split
-        # halves of a cross-shard preemption
+        # in the public route list): load for global admission, the
+        # exported registries the router folds into its fleet view,
+        # plus the split halves of a cross-shard preemption
         if path == "/v1/shard/load" and method == "GET":
             return 200, {
                 "queued": self.service.queued,
@@ -494,8 +511,11 @@ class ServiceHTTPServer(BaseHTTPServer):
                 "max_queue_depth": self.service.max_queue_depth,
                 "max_in_flight": self.service.max_in_flight,
             }
-        if path == "/v1/shard/samples" and method == "GET":
-            return 200, self.service.samples()
+        if path == "/v1/shard/metrics" and method == "GET":
+            return 200, {
+                "process": get_registry().export(),
+                "service": self.service.metrics.export(),
+            }
         if path == "/v1/shard/quote" and method == "POST":
             body = self._json_body(raw, "preemption quote")
             _check_fields(body, ("tenant", "bid"), "preemption quote")
@@ -549,17 +569,7 @@ class ServiceHTTPServer(BaseHTTPServer):
                 ),
             )
             return 200, {"ok": True}
-        known = (
-            "GET /healthz, GET /stats, GET /metrics,"
-            " POST /v1/submit[?mode=async], GET /v1/result/<id>,"
-            " GET /v1/trace/<id>, POST /v1/cancel, POST /v1/tenants"
-        )
-        if path in ("/healthz", "/stats", "/metrics", "/v1/submit",
-                    "/v1/cancel", "/v1/tenants"):
-            return 405, {"error": f"wrong method for {path}"
-                                  f" (routes: {known})"}
-        return 404, {"error": f"no route {method} {path}"
-                              f" (routes: {known})"}
+        return _no_route(method, path)
 
     async def _submit(
         self, raw: bytes, query: Mapping[str, list]

@@ -31,6 +31,12 @@ which is what makes a 1-shard deployment byte-identical to today's
 single ``AllocationService``: every route is then forwarded verbatim,
 no aggregation, no rewrite.
 
+Fleet view: per scrape the router folds every shard's registries,
+exported on the shard-control route ``/v1/shard/metrics``, into one
+fresh :class:`~repro.telemetry.metrics.MetricsRegistry` with its own
+(under a leading ``shard`` label).  ``/metrics`` renders it; ``/stats``
+reads its counts from it, tenant rows from each shard's ``/stats``.
+
 Tracing: the router records a ``router.route`` span per proxied
 submit under the request's trace id, so ``repro trace <id>`` stitches
 the extra hop next to the shard's admission/queue/execute spans.
@@ -43,15 +49,14 @@ import dataclasses
 import json
 import time
 import urllib.parse
-from collections import OrderedDict
 from typing import Callable, Mapping, Sequence
 
 from ..api.requests import FailureRecord
-from ..telemetry import get_logger, get_registry, record_span
-from ..telemetry.metrics import _escape_label, summarize
+from ..telemetry import get_logger, record_span, scrape
+from ..telemetry.metrics import MetricsRegistry, summarize
 from ..telemetry.trace import TRACE_STORE, span_to_dict
-from .broker import AllocationService
-from .http import BaseHTTPServer, ServiceHTTPServer, _PlainText
+from .broker import _OUTCOMES, AllocationService
+from .http import BaseHTTPServer, ServiceHTTPServer, _no_route, _PlainText
 from .tenants import TenantConfig
 
 __all__ = [
@@ -60,7 +65,6 @@ __all__ = [
     "RouterHTTPServer",
     "ShardBackend",
     "ShardRouter",
-    "merge_metrics_texts",
     "parse_shard_map",
     "rendezvous_shard",
 ]
@@ -72,14 +76,6 @@ _log = get_logger("service.shard")
 MAX_IDLE_SHARD_CONNECTIONS = 16
 
 _Stream = tuple[asyncio.StreamReader, asyncio.StreamWriter]
-
-#: Mirrors the single-shard server's route list so a router's 404/405
-#: prose matches what one shard would have said.
-_KNOWN_ROUTES = (
-    "GET /healthz, GET /stats, GET /metrics,"
-    " POST /v1/submit[?mode=async], GET /v1/result/<id>,"
-    " GET /v1/trace/<id>, POST /v1/cancel, POST /v1/tenants"
-)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +137,8 @@ class ShardBackend:
 
     name: str = "shard"
     #: True when this shard records into the process-wide trace store
-    #: (no trace fetch needed for it).
+    #: and metrics registry (no trace fetch needed for it, and its
+    #: process-level families are the router's own).
     shares_process_state: bool = False
 
     async def start(self) -> None:
@@ -160,15 +157,6 @@ class ShardBackend:
     ) -> "tuple[int, object]":
         raw = b"" if body is None else json.dumps(body).encode("utf8")
         return await self.request(method, path, raw)
-
-    async def scrape_metrics(self) -> "str | None":
-        """This shard's Prometheus exposition for the router to label
-        and merge (``None`` when unreachable): the shard process's
-        whole ``/metrics`` scrape."""
-        status, payload = await self.request("GET", "/metrics", b"")
-        if status == 200 and isinstance(payload, _PlainText):
-            return payload.text
-        return None
 
 
 class LocalShard(ShardBackend):
@@ -206,11 +194,6 @@ class LocalShard(ShardBackend):
         self, method: str, path: str, raw: bytes
     ) -> "tuple[int, object]":
         return await self.app.dispatch(method, path, raw)
-
-    async def scrape_metrics(self) -> str:
-        """The service's own registry only: this process's process-level
-        families belong to the router's scrape, rendered there once."""
-        return self.service.metrics.render()
 
 
 class HttpShard(ShardBackend):
@@ -341,95 +324,6 @@ class HttpShard(ShardBackend):
 
 
 # ----------------------------------------------------------------------
-# /metrics merging
-# ----------------------------------------------------------------------
-
-def _label_sample(line: str, shard: str) -> str:
-    """Inject a ``shard="..."`` label into one exposition sample."""
-    name_part, _, value = line.rpartition(" ")
-    shard_label = f'shard="{_escape_label(shard)}"'
-    if "{" in name_part:
-        name, _, rest = name_part.partition("{")
-        return f"{name}{{{shard_label},{rest} {value}"
-    return f"{name_part}{{{shard_label}}} {value}"
-
-
-def _parse_exposition(text: str) -> "OrderedDict[str, dict]":
-    """Prometheus text exposition → ordered ``family → {help, type,
-    samples}``.  Samples whose name extends the current family's (the
-    ``_bucket``/``_sum``/``_count`` histogram series) stay grouped
-    under it."""
-    families: "OrderedDict[str, dict]" = OrderedDict()
-    current: "str | None" = None
-    for line in text.splitlines():
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
-            entry = families.setdefault(
-                name, {"help": None, "type": None, "samples": []}
-            )
-            entry["help"] = help_text
-            current = name
-        elif line.startswith("# TYPE "):
-            name, _, kind = line[len("# TYPE "):].partition(" ")
-            entry = families.setdefault(
-                name, {"help": None, "type": None, "samples": []}
-            )
-            entry["type"] = kind
-            current = name
-        elif line and not line.startswith("#"):
-            name_part, _, _value = line.rpartition(" ")
-            name = name_part.partition("{")[0]
-            family = (
-                current
-                if current is not None and name.startswith(current)
-                else name
-            )
-            families.setdefault(
-                family, {"help": None, "type": None, "samples": []}
-            )["samples"].append(line)
-    return families
-
-
-def merge_metrics_texts(
-    shard_texts: "Sequence[tuple[str, str]]", local_text: str = ""
-) -> str:
-    """Merge per-shard Prometheus expositions into one scrape: every
-    shard sample gains a ``shard="<name>"`` label, families are
-    deduplicated (first HELP/TYPE wins), and the router's own
-    process-local exposition rides along unlabelled."""
-    merged: "OrderedDict[str, dict]" = OrderedDict()
-
-    def _fold(families: "OrderedDict[str, dict]",
-              shard: "str | None") -> None:
-        for name, entry in families.items():
-            out = merged.setdefault(
-                name, {"help": None, "type": None, "samples": []}
-            )
-            if out["help"] is None:
-                out["help"] = entry["help"]
-            if out["type"] is None:
-                out["type"] = entry["type"]
-            for sample in entry["samples"]:
-                out["samples"].append(
-                    sample if shard is None
-                    else _label_sample(sample, shard)
-                )
-
-    for shard_name, text in shard_texts:
-        _fold(_parse_exposition(text), shard_name)
-    if local_text:
-        _fold(_parse_exposition(local_text), None)
-    lines: list[str] = []
-    for name, entry in merged.items():
-        if entry["help"] is not None:
-            lines.append(f"# HELP {name} {entry['help']}")
-        if entry["type"] is not None:
-            lines.append(f"# TYPE {name} {entry['type']}")
-        lines.extend(entry["samples"])
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
 # the router
 # ----------------------------------------------------------------------
 
@@ -490,10 +384,18 @@ class ShardRouter:
             self._pins[tenant] = self._resolve_shard(shard)
         self._clock = clock
         self._started_at: "float | None" = None
-        #: router-level admission rejections by stage (merged into the
-        #: aggregated /stats totals)
-        self._rejections: dict[str, int] = {}
-        self._preemptions = 0
+        #: the router's own counts, folded into the fleet registry that
+        #: /stats and /metrics read
+        self.metrics = MetricsRegistry()
+        self._rejections = self.metrics.counter(
+            "repro_router_rejections_total",
+            "Submits rejected at the router, by stage.", ("stage",))
+        self._preemptions = self.metrics.counter(
+            "repro_router_preemptions_total",
+            "Cross-shard preemptions executed by the router.")
+        self._probe_failures = self.metrics.counter(
+            "repro_router_load_probe_failures_total",
+            "Failed load probes (the shard counted 0 queued).", ("shard",))
 
     def _resolve_shard(self, shard: str) -> int:
         if shard in self._names:
@@ -593,7 +495,7 @@ class ShardRouter:
         if path == "/stats" and method == "GET":
             return await self._stats()
         if path == "/metrics" and method == "GET":
-            return await self._metrics()
+            return 200, _PlainText(scrape(await self._fleet()))
         if path.startswith("/v1/trace/") and method == "GET":
             return await self._trace(path[len("/v1/trace/"):])
         if path == "/v1/submit" and method == "POST":
@@ -604,12 +506,7 @@ class ShardRouter:
             return await self._cancel(raw)
         if path == "/v1/tenants" and method == "POST":
             return await self._register(raw)
-        if path in ("/healthz", "/stats", "/metrics", "/v1/submit",
-                    "/v1/cancel", "/v1/tenants"):
-            return 405, {"error": f"wrong method for {path}"
-                                  f" (routes: {_KNOWN_ROUTES})"}
-        return 404, {"error": f"no route {method} {path}"
-                              f" (routes: {_KNOWN_ROUTES})"}
+        return _no_route(method, path)
 
     async def _health(self) -> "tuple[int, object]":
         results = await asyncio.gather(
@@ -715,25 +612,36 @@ class ShardRouter:
     ) -> "tuple[int, object] | None":
         """``None`` admits (forward to the shard); a ``(429, payload)``
         rejects at the router with the same structured failure shape a
-        shard emits."""
+        shard emits.
+
+        A shard whose ``/v1/shard/load`` probe fails counts as 0 queued,
+        so one dead shard does not stop every tenant's submits; each
+        such failure bumps ``repro_router_load_probe_failures_total``
+        for that shard and logs a warning, because the global bound no
+        longer covers what that shard has queued."""
         if self.global_queue_depth is None:
             return None
         loads = await asyncio.gather(
             *(shard.request("GET", "/v1/shard/load", b"")
               for shard in self.shards)
         )
-        total_queued = sum(
-            payload.get("queued", 0)
-            for status, payload in loads
-            if status == 200 and isinstance(payload, dict)
-        )
+        total_queued = 0
+        for name, (status, payload) in zip(self._names, loads):
+            if status == 200 and isinstance(payload, dict):
+                total_queued += payload.get("queued", 0)
+            else:
+                self._probe_failures.labels(shard=name).inc()
+                _log.warning(
+                    "load probe of shard %s failed (HTTP %d); the global"
+                    " queue bound counts it as 0 queued", name, status,
+                )
         if total_queued < self.global_queue_depth:
             return None
         if bid is not None and bid > 0:
             if await self._preempt_global(shard_index, tenant, bid):
                 return None
         stage = "service-queue-full"
-        self._rejections[stage] = self._rejections.get(stage, 0) + 1
+        self._rejections.labels(stage=stage).inc()
         record = FailureRecord(
             strategy=f"tenant:{tenant}",
             stage=stage,
@@ -815,7 +723,7 @@ class ShardRouter:
                 "victim_ticket": victim["ticket"],
             },
         )
-        self._preemptions += 1
+        self._preemptions.inc()
         _log.info(
             "cross-shard preemption: %s (shard %s) evicted ticket #%d"
             " of %s (shard %s) for a bid of %g",
@@ -828,108 +736,131 @@ class ShardRouter:
     # aggregation
     # ------------------------------------------------------------------
 
+    async def _fleet(self) -> MetricsRegistry:
+        """A fresh registry: the router's own and every answering
+        shard's export under its ``shard`` label — process-level
+        families only from shards not sharing the router's process."""
+        exports = await asyncio.gather(
+            *(shard.request("GET", "/v1/shard/metrics", b"")
+              for shard in self.shards)
+        )
+        fleet = MetricsRegistry()
+        fleet.fold(self.metrics.export())
+        for shard, (status, export) in zip(self.shards, exports):
+            if status == 200 and isinstance(export, dict):
+                if not shard.shares_process_state:
+                    fleet.fold(export["process"], shard=shard.name)
+                fleet.fold(export["service"], shard=shard.name)
+        return fleet
+
     async def _stats(self) -> "tuple[int, object]":
+        """The fleet ``/stats``: counts and queue waits from the fleet
+        registry; tenant rows, service blocks and account spend from
+        each shard's own ``/stats``."""
         if self.n_shards == 1:
             # byte-identical to the single-service deployment: the one
             # shard's snapshot passes through verbatim
             return await self._forward(0, "GET", "/stats", b"")
-        stats = await asyncio.gather(
-            *(shard.request("GET", "/stats", b"")
-              for shard in self.shards)
+        stats, fleet = await asyncio.gather(
+            asyncio.gather(
+                *(shard.request("GET", "/stats", b"")
+                  for shard in self.shards)
+            ),
+            self._fleet(),
         )
-        samples = await asyncio.gather(
-            *(shard.request("GET", "/v1/shard/samples", b"")
-              for shard in self.shards)
-        )
-        snapshots: "list[dict | None]" = [
-            payload if status == 200 and isinstance(payload, dict)
-            else None
-            for status, payload in stats
-        ]
+        snaps = {
+            name: snap for name, (status, snap) in zip(self._names, stats)
+            if status == 200 and isinstance(snap, dict)
+        }
+
+        def counts(name: str, *labelnames: str) -> dict:
+            return fleet.counter(name, "", labelnames).totals()
+
+        totals = dict.fromkeys(_OUTCOMES + ("rejected", "preempted"), 0)
+        for (_shard, _tenant, outcome), n in counts(
+            "repro_service_requests_total", "shard", "tenant", "outcome"
+        ).items():
+            totals[outcome] = totals.get(outcome, 0) + n
+        # rejections no tenant can be charged with: the shards' empty
+        # tenant label, and every rejection at the router; preemption
+        # victims were admitted, so "preempted" is never a rejection
+        unattributed: dict[str, int] = {}
+        for (_shard, tenant, stage), n in counts(
+            "repro_service_rejections_total", "shard", "tenant", "stage"
+        ).items():
+            if stage != "preempted":
+                totals["rejected"] += n
+                if not tenant:
+                    unattributed[stage] = unattributed.get(stage, 0) + n
+        for (stage,), n in counts(
+            "repro_router_rejections_total", "stage"
+        ).items():
+            totals["rejected"] += n
+            unattributed[stage] = unattributed.get(stage, 0) + n
+        # market totals only appear once money moved, as on a shard
+        if not totals["preempted"]:
+            del totals["preempted"]
+        spent = sum(snap["totals"].get("spent", 0) for snap in snaps.values())
+        if spent:
+            totals["spent"] = round(spent, 6)
+        cache = counts("repro_service_cache_requests_total", "shard", "result")
+        blocks = [snap["service"] for snap in snaps.values()]
         service = {
-            "backend": "router",
-            "shards": self.n_shards,
-            "jobs": 0,
-            "max_in_flight": 0,
-            "max_queue_depth": 0,
-            "queued": 0,
-            "in_flight": 0,
-            "cache": {"capacity": 0, "size": 0, "hits": 0, "misses": 0},
+            "backend": "router", "shards": self.n_shards,
+            **{key: sum(b.get(key) or 0 for b in blocks) for key in (
+                "jobs", "max_in_flight", "max_queue_depth", "queued",
+                "in_flight",
+            )},
+            "cache": {
+                "capacity": sum(b["cache"]["capacity"] for b in blocks),
+                "size": sum(b["cache"]["size"] for b in blocks),
+                "hits": sum(n for k, n in cache.items() if k[1] == "hit"),
+                "misses": sum(n for k, n in cache.items() if k[1] == "miss"),
+            },
             "uptime_s": (
                 round(self._clock() - self._started_at, 3)
                 if self._started_at is not None else None
             ),
         }
-        totals: dict[str, float] = {
-            "admitted": 0, "completed": 0, "failed": 0,
-            "cancelled": 0, "expired": 0, "rejected": 0,
-        }
-        unattributed: dict[str, int] = dict(self._rejections)
+        # fleet queue-wait percentiles from the merged raw windows
+        # (per-shard percentiles do not compose), in shard order, then
+        # in each shard's tenant-registration order, the order of its
+        # own /stats: the mean is a float sum
+        waits = fleet.histogram(
+            "repro_service_queue_wait_seconds", "", ("shard", "tenant")
+        ).children()
+        window: list[float] = []
+        count = 0
         tenants: dict[str, dict] = {}
         shards_out: dict[str, object] = {}
-        for index, (name, snap) in enumerate(
-            zip(self._names, snapshots)
-        ):
+        for index, name in enumerate(self._names):
+            snap = snaps.get(name)
             if snap is None:
                 shards_out[name] = {"error": "unreachable"}
                 continue
-            svc = snap.get("service", {})
-            for key in ("jobs", "max_in_flight", "max_queue_depth",
-                        "queued", "in_flight"):
-                service[key] += svc.get(key, 0) or 0
-            for key, value in (svc.get("cache") or {}).items():
-                if key in service["cache"]:
-                    service["cache"][key] += value
-            for key, value in (snap.get("totals") or {}).items():
-                totals[key] = totals.get(key, 0) + value
-            for stage, count in (
-                snap.get("unattributed_rejections") or {}
-            ).items():
-                unattributed[stage] = unattributed.get(stage, 0) + count
-            for tenant, row in (snap.get("tenants") or {}).items():
+            for tenant, row in snap["tenants"].items():
+                child = waits.get((name, tenant))
+                if child is not None:
+                    window.extend(child.values)
+                    count += child.count
                 # a tenant registered on several shards (shared
                 # --tenant flags) still *lives* on exactly one — keep
                 # the owning shard's row, not whichever came last
-                if (
-                    tenant not in tenants
-                    or self.shard_of(tenant) == index
-                ):
+                if tenant not in tenants or self.shard_of(tenant) == index:
                     tenants[tenant] = row
             shards_out[name] = {
-                "service": svc, "totals": snap.get("totals", {})
+                "service": snap["service"], "totals": snap["totals"],
             }
-        totals["rejected"] += sum(self._rejections.values())
-        if "spent" in totals:
-            totals["spent"] = round(totals["spent"], 6)
-        # fleet-level queue-wait percentiles from the *merged* raw
-        # windows — per-shard percentiles do not compose
-        waits: list[float] = []
-        waits_total = 0
-        for status, payload in samples:
-            if status == 200 and isinstance(payload, dict):
-                waits.extend(payload.get("queue_wait") or ())
-                waits_total += payload.get("queue_wait_total", 0)
-        out = {
+        queue_wait = summarize(window, count)
+        if queue_wait is not None:
+            service["queue_wait_s"] = queue_wait
+        return 200, {
             "service": service,
             "totals": totals,
             "unattributed_rejections": dict(sorted(unattributed.items())),
             "tenants": tenants,
             "shards": shards_out,
         }
-        queue_wait = summarize(waits, waits_total)
-        if queue_wait is not None:
-            out["service"]["queue_wait_s"] = queue_wait
-        return 200, out
-
-    async def _metrics(self) -> "tuple[int, object]":
-        texts = await asyncio.gather(
-            *(shard.scrape_metrics() for shard in self.shards)
-        )
-        return 200, _PlainText(merge_metrics_texts(
-            [(name, text) for name, text in zip(self._names, texts)
-             if text is not None],
-            get_registry().render(),
-        ))
 
     async def _trace(self, trace_id: str) -> "tuple[int, object]":
         spans = [span_to_dict(s) for s in TRACE_STORE.get(trace_id)]
@@ -949,17 +880,6 @@ class ShardRouter:
         if not spans:
             return 404, {"error": f"no trace {trace_id!r}"}
         return 200, {"trace_id": trace_id, "spans": spans}
-
-    def snapshot(self) -> dict:
-        """Router-local state (for debugging; /stats aggregates the
-        shards)."""
-        return {
-            "shards": list(self._names),
-            "pins": dict(self._pins),
-            "global_queue_depth": self.global_queue_depth,
-            "rejections": dict(self._rejections),
-            "preemptions": self._preemptions,
-        }
 
 
 class RouterHTTPServer(BaseHTTPServer):

@@ -18,6 +18,8 @@ and latency into it exactly once; their JSON stats are read-only views
 over it.  The process-wide :data:`REGISTRY` keeps only process-level
 families (the simulator's ``repro_sim_*``), and :func:`scrape` renders
 it in front of one component's own registry for ``GET /metrics``.
+:meth:`MetricsRegistry.export` and :meth:`MetricsRegistry.fold` move
+families between registries as JSON-able data (a router's fleet view).
 
 All instruments support Prometheus-style labels: the object returned
 by ``registry.counter(...)`` is the *family*; ``family.labels(x="y")``
@@ -192,6 +194,19 @@ class _Family:
         with self._lock:
             return dict(self._children)
 
+    def _export(self) -> dict:
+        out = {
+            "name": self.name, "kind": self.kind, "help": self.help,
+            "labelnames": list(self.labelnames),
+        }
+        if isinstance(self, Histogram):
+            out["buckets"] = list(self.buckets)
+        out["children"] = [
+            [list(key), child._export()]
+            for key, child in self.children().items()
+        ]
+        return out
+
     def _samples(self) -> "list[tuple[str, float]]":
         """``(labelled-suffix, value)`` pairs for the renderer."""
         out: list = []
@@ -202,8 +217,27 @@ class _Family:
         return out
 
 
-class _CounterChild:
+class _ValueChild:
+    """A counter's or a gauge's child: one number."""
+
     __slots__ = ("_value", "_lock")
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def _export(self) -> float:
+        return self._value
+
+    def _load(self, value: float) -> None:
+        self._value = value
+
+    def _render(self, name, labelnames, key):
+        return [(f"{name}{_label_str(labelnames, key)}", self._value)]
+
+
+class _CounterChild(_ValueChild):
+    __slots__ = ()
 
     def __init__(self) -> None:
         # whole-count increments keep the total an int
@@ -215,13 +249,6 @@ class _CounterChild:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _render(self, name, labelnames, key):
-        return [(f"{name}{_label_str(labelnames, key)}", self._value)]
 
 
 class Counter(_Family):
@@ -246,8 +273,8 @@ class Counter(_Family):
         }
 
 
-class _GaugeChild:
-    __slots__ = ("_value", "_lock")
+class _GaugeChild(_ValueChild):
+    __slots__ = ()
 
     def __init__(self) -> None:
         self._value = 0.0
@@ -263,13 +290,6 @@ class _GaugeChild:
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _render(self, name, labelnames, key):
-        return [(f"{name}{_label_str(labelnames, key)}", self._value)]
 
 
 class Gauge(_Family):
@@ -340,6 +360,27 @@ class _HistogramChild:
             window = list(self._window)
             total = self._count
         return summarize(window, total, digits)
+
+    def _export(self) -> dict:
+        with self._lock:
+            return {
+                "counts": list(self._counts), "sum": self._sum,
+                "count": self._count, "window": list(self._window),
+            }
+
+    def _load(self, state: Mapping) -> None:
+        counts = list(state["counts"])
+        if len(counts) != len(self._buckets):
+            raise ValueError(
+                f"{len(counts)} bucket counts for"
+                f" {len(self._buckets)} buckets"
+            )
+        with self._lock:
+            self._counts = counts
+            self._sum = state["sum"]
+            self._count = state["count"]
+            self._window.clear()
+            self._window.extend(state["window"])
 
     def _render(self, name, labelnames, key):
         out = []
@@ -446,10 +487,6 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._families.pop(name, None)
-
     def register_collector(self, fn: "Callable[[], None]") -> None:
         with self._lock:
             if fn not in self._collectors:
@@ -460,31 +497,70 @@ class MetricsRegistry:
             if fn in self._collectors:
                 self._collectors.remove(fn)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._families.clear()
-            self._collectors.clear()
-
-    def render(self) -> str:
-        """The Prometheus text exposition format, ready to serve with
-        ``Content-Type: text/plain; version=0.0.4`` (empty when no
-        family is registered, so renders concatenate cleanly)."""
+    def _collect(self) -> "list[tuple[str, _Family]]":
+        """Run the collectors; the families, sorted by name."""
         with self._lock:
             collectors = list(self._collectors)
-            families = sorted(self._families.items())
         for collect in collectors:
             try:
                 collect()
             except Exception:  # a dead collector must not kill /metrics
                 continue
-        lines: list = []
-        for name, family in families:
-            if family.help:
-                lines.append(f"# HELP {name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
+        with self._lock:
+            return sorted(self._families.items())
+
+    def export(self) -> "list[dict]":
+        """Run the collectors; every family as JSON-able data: ``name``,
+        ``kind``, ``help``, ``labelnames``, a histogram's ``buckets``,
+        and ``children`` as ``[label values, state]`` pairs (a number,
+        or a histogram's bucket ``counts``, ``sum``, ``count`` and
+        ``window``)."""
+        return [family._export() for _, family in self._collect()]
+
+    def fold(self, families: "Iterable[Mapping]", **leading: str) -> None:
+        """Add :meth:`export`-ed ``families`` to this registry, the
+        ``leading`` labels put in front of each family's own."""
+        names = tuple(leading)
+        values = tuple(str(value) for value in leading.values())
+        for data in families:
+            labelnames = names + tuple(data["labelnames"])
+            family = self._get_or_make(
+                _KINDS[data["kind"]], data["name"], data["help"],
+                labelnames,
+                **({"buckets": data["buckets"]} if "buckets" in data else {}),
+            )
+            for key, state in data["children"]:
+                family.labels(
+                    **dict(zip(labelnames, values + tuple(key)))
+                )._load(state)
+
+    def render(self) -> str:
+        """The Prometheus text exposition format, ready to serve with
+        ``Content-Type: text/plain; version=0.0.4`` (empty when no
+        family is registered, so renders concatenate cleanly)."""
+        return _render(self)
+
+
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
+def _render(*registries: MetricsRegistry) -> str:
+    """The exposition of ``registries`` in order, each sorted by family
+    name; a family several of them hold is announced once, at its
+    first appearance, with every registry's samples under it."""
+    grouped: "dict[str, list[_Family]]" = {}
+    for registry in registries:
+        for name, family in registry._collect():
+            grouped.setdefault(name, []).append(family)
+    lines: list = []
+    for name, families in grouped.items():
+        if families[0].help:
+            lines.append(f"# HELP {name} {_escape_help(families[0].help)}")
+        lines.append(f"# TYPE {name} {families[0].kind}")
+        for family in families:
             for sample_name, value in family._samples():
                 lines.append(f"{sample_name} {_format_value(value)}")
-        return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines)
 
 
 #: The process-wide registry: process-level families only.
@@ -497,5 +573,7 @@ def get_registry() -> MetricsRegistry:
 
 def scrape(registry: MetricsRegistry) -> str:
     """One component's ``GET /metrics`` body: the process-wide families
-    followed by the component's own ``registry``."""
-    return REGISTRY.render() + registry.render()
+    followed by the component's own ``registry``.  A family in both (a
+    router's fleet registry holds its shard processes' ``repro_sim_*``)
+    is announced once."""
+    return _render(REGISTRY, registry)

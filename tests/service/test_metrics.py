@@ -2,10 +2,10 @@
 
 Each :class:`AllocationService` records every count, latency and level
 once, into its own :class:`~repro.telemetry.MetricsRegistry`; ``/stats``,
-``/v1/shard/samples`` and ``/metrics`` only read it.  These tests pin
-that contract: per-service isolation (two services in one process no
-longer share gauges), one bump per outcome, bounded label cardinality,
-and the ``/stats`` shapes the registry now backs.
+``/metrics`` and the ``/v1/shard/metrics`` export only read it.  These
+tests pin that contract: per-service isolation (two services in one
+process no longer share gauges), one bump per outcome, bounded label
+cardinality, and the ``/stats`` shapes the registry now backs.
 """
 
 import asyncio
@@ -76,17 +76,19 @@ def _child_counts(service) -> dict:
 class TestLatencySeries:
     def test_empty_summary_is_none(self):
         """No dispatched request → no queue-wait window anywhere: the
-        service-level summary is omitted and the raw samples empty."""
+        service-level summary is omitted and the histogram has no
+        child."""
         async def main():
             service = AllocationService(tenants=(TenantConfig("t"),))
             await service.start()
-            snapshot, samples = service.snapshot(), service.samples()
+            snapshot = service.snapshot()
             await service.aclose()
-            return snapshot, samples
+            return snapshot, service.metrics
 
-        snapshot, samples = run(main())
+        snapshot, metrics = run(main())
         assert "queue_wait_s" not in snapshot["service"]
-        assert samples == {"queue_wait": [], "queue_wait_total": 0}
+        waits = metrics.get("repro_service_queue_wait_seconds")
+        assert waits.children() == {}
 
     def test_summary_fields(self):
         """Samples observed into a tenant's histogram child surface as

@@ -14,6 +14,9 @@ The load-bearing contracts:
   restart case — the tenant map is recomputed, the shards kept);
 * ``/stats`` aggregation recomputes fleet percentiles from merged raw
   windows instead of averaging per-shard percentiles;
+* the router folds every shard's exported registry into one fleet
+  registry: ``/metrics`` renders it with each family announced once;
+* a shard whose load probe fails counts as 0 queued, visibly;
 * an :class:`HttpShard` reuses its pooled connections, retries a
   request once on a fresh connection only when a reused one failed
   before any status line arrived, and drops its pool on shutdown.
@@ -21,6 +24,7 @@ The load-bearing contracts:
 
 import asyncio
 import json
+import re
 import threading
 import types
 
@@ -28,6 +32,7 @@ import pytest
 
 from repro.api import InstanceSpec, ReplayRequest, SolveRequest
 from repro.api.wire import request_to_wire
+from repro.telemetry import MetricsRegistry, get_registry
 from repro.service import (
     AllocationService,
     HttpShard,
@@ -35,7 +40,6 @@ from repro.service import (
     ServiceHTTPServer,
     ShardRouter,
     TenantConfig,
-    merge_metrics_texts,
     parse_shard_map,
     percentile,
     rendezvous_shard,
@@ -497,12 +501,19 @@ class TestAggregation:
                     )
                     assert status == 200, payload
             status, stats = await router.dispatch("GET", "/stats", b"")
+            # each shard's windows, in shard order, then in the shard's
+            # tenant-registration order
             waits = []
             total = 0
             for shard in shards:
-                payload = shard.service.samples()
-                waits.extend(payload["queue_wait"])
-                total += payload["queue_wait_total"]
+                children = shard.service.metrics.get(
+                    "repro_service_queue_wait_seconds"
+                ).children()
+                for state in shard.service.registry:
+                    child = children.get((state.name,))
+                    if child is not None:
+                        waits.extend(child.values)
+                        total += child.count
             await router.aclose()
             return stats, waits, total
 
@@ -511,6 +522,7 @@ class TestAggregation:
         summary = stats["service"]["queue_wait_s"]
         assert summary["count"] == total == 12
         assert summary["window"] == len(waits) == 12
+        assert summary["mean"] == round(sum(waits) / len(waits), 6)
         assert summary["p50"] == round(percentile(waits, 50.0), 6)
         assert summary["p99"] == round(percentile(waits, 99.0), 6)
         # per-shard breakdown and per-tenant rows from both shards
@@ -553,54 +565,159 @@ class TestAggregation:
         assert router_span["attributes"]["shard"].startswith("shard-")
 
 
+def _closed_port() -> int:
+    """A local port nothing listens on."""
+    import socket
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 class TestMetricsMerge:
-    SHARD_A = (
-        "# HELP repro_service_requests_total Requests.\n"
-        "# TYPE repro_service_requests_total counter\n"
-        'repro_service_requests_total{tenant="acme"} 3\n'
-        "# TYPE repro_service_queue_wait_seconds histogram\n"
-        'repro_service_queue_wait_seconds_bucket{le="0.1"} 2\n'
-        "repro_service_queue_wait_seconds_sum 0.05\n"
-        "repro_service_queue_wait_seconds_count 3\n"
-    )
-    SHARD_B = (
-        "# HELP repro_service_requests_total Requests.\n"
-        "# TYPE repro_service_requests_total counter\n"
-        'repro_service_requests_total{tenant="globex"} 5\n'
-    )
+    def test_fold_round_trips_a_render(self):
+        """A registry exported, sent as JSON and folded under
+        ``shard="s0"`` renders exactly like the source with that label
+        first in every sample."""
+        source = MetricsRegistry()
+        source.counter("t_req_total", "Requests.", ("tenant",)).labels(
+            tenant="acme"
+        ).inc(3)
+        source.gauge("t_level", "A level.").set(2.5)
+        waits = source.histogram(
+            "t_wait_seconds", "Waits.", ("tenant",), buckets=(0.1, 1.0)
+        )
+        for value in (0.05, 0.5, 7.0):
+            waits.labels(tenant="acme").observe(value)
+        fleet = MetricsRegistry()
+        fleet.fold(json.loads(json.dumps(source.export())), shard="s0")
 
-    def test_merge_labels_and_dedupes_families(self):
-        merged = merge_metrics_texts(
-            [("s0", self.SHARD_A), ("s1", self.SHARD_B)]
-        )
-        assert merged.count("# TYPE repro_service_requests_total") == 1
-        assert (
-            'repro_service_requests_total{shard="s0",tenant="acme"} 3'
-            in merged
-        )
-        assert (
-            'repro_service_requests_total{shard="s1",tenant="globex"} 5'
-            in merged
-        )
-        # histogram suffix samples stay grouped and get the label too
-        assert (
-            'repro_service_queue_wait_seconds_sum{shard="s0"} 0.05'
-            in merged
-        )
+        def with_shard(line: str) -> str:
+            if line.startswith("#"):
+                return line
+            name, brace, rest = line.partition("{")
+            if brace:
+                return f'{name}{{shard="s0",{rest}'
+            name, _, value = line.partition(" ")
+            return f'{name}{{shard="s0"}} {value}'
 
-    def test_merged_samples_parse_like_a_scraper(self):
-        merged = merge_metrics_texts(
-            [("s0", self.SHARD_A), ("s1", self.SHARD_B)]
+        expected = "".join(
+            with_shard(line) + "\n" for line in source.render().splitlines()
         )
-        n = 0
-        for line in merged.splitlines():
+        rendered = fleet.render()
+        assert rendered == expected
+        assert 't_wait_seconds_bucket{shard="s0",tenant="acme",le="+Inf"} 3' \
+            in rendered
+        assert 't_wait_seconds_sum{shard="s0",tenant="acme"} 7.55' in rendered
+        assert 't_level{shard="s0"} 2.5' in rendered
+
+    def _scrape_two_http_shards(self):
+        async def main():
+            servers = [ServiceHTTPServer(AllocationService(), port=0)
+                       for _ in range(2)]
+            for server in servers:
+                await server.start()
+            router = ShardRouter(
+                [HttpShard(f"127.0.0.1:{s.port}") for s in servers],
+                shard_map={t: str(i % 2) for i, t in enumerate(TENANTS)},
+            )
+            await router.start()
+            try:
+                for tenant in TENANTS:
+                    status, _ = await router.dispatch(
+                        "POST", "/v1/submit",
+                        submit_raw(solve_req(7), tenant),
+                    )
+                    assert status == 200
+                status, text = await router.dispatch("GET", "/metrics", b"")
+                assert status == 200
+                return text.text, router._names
+            finally:
+                await router.aclose()
+                for server in servers:
+                    await server.aclose()
+
+        return run(main())
+
+    def test_merge_labels_and_dedupes_families(self, gated):
+        """Two shard processes' scrapes merged: each family is
+        announced once — the shards' process-level ``repro_sim_*``
+        included, next to the router's own — and every shard sample
+        carries its ``shard`` label first."""
+        import repro.simulator.engine  # noqa: F401 — repro_sim_*
+
+        # the shard servers share this process: its sample is theirs
+        get_registry().get("repro_sim_events_total").inc(0)
+        text, names = self._scrape_two_http_shards()
+        types = re.findall(r"^# TYPE (\S+) ", text, re.M)
+        assert len(types) == len(set(types))
+        assert any(name.startswith("repro_sim_") for name in types)
+        for name in names:
+            assert re.search(
+                rf'^repro_service_requests_total\{{shard="{name}",'
+                r'tenant="\w+",outcome="completed"\} \d+$', text, re.M
+            )
+            assert re.search(
+                rf'^repro_sim_events_total\{{shard="{name}"\}} ', text, re.M
+            )
+        assert re.search(r"^repro_sim_events_total \d+$", text, re.M)
+
+    def test_merged_samples_parse_like_a_scraper(self, gated):
+        text, names = self._scrape_two_http_shards()
+        shards = set()
+        completed = 0
+        for line in text.splitlines():
             if not line or line.startswith("#"):
                 continue
             name_part, _, value = line.rpartition(" ")
             float(value)
             assert name_part
-            n += 1
-        assert n == 5
+            shards.update(re.findall(r'shard="([^"]+)"', name_part))
+            if name_part.startswith("repro_service_requests_total{") \
+                    and 'outcome="completed"' in name_part:
+                completed += int(value)
+        assert shards == set(names)
+        assert completed == len(TENANTS)
+
+
+class TestLoadProbeFailure:
+    def test_dead_shard_counts_as_empty_and_shows(self, gated, caplog):
+        """A shard whose load probe fails does not block admission: the
+        submit to the live shard is served, the failure is counted per
+        shard in the router's /metrics and logged as a warning."""
+        dead = HttpShard(f"127.0.0.1:{_closed_port()}")
+
+        async def main():
+            router = ShardRouter(
+                [LocalShard(name="live"), dead],
+                shard_map={"acme": "live"}, global_queue_depth=4,
+            )
+            await router.start()
+            try:
+                status, payload = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(3), "acme")
+                )
+                _, text = await router.dispatch("GET", "/metrics", b"")
+                return status, payload, text.text
+            finally:
+                await router.aclose()
+
+        with caplog.at_level("WARNING", logger="repro.service.shard"):
+            status, payload, text = run(main())
+        assert status == 200, payload
+        assert (
+            f'repro_router_load_probe_failures_total{{shard="{dead.name}"}} 1'
+            in text.splitlines()
+        )
+        assert "live" not in re.findall(
+            r'^repro_router_load_probe_failures_total\{shard="([^"]+)"',
+            text, re.M,
+        )
+        assert any(
+            dead.name in record.getMessage()
+            and record.levelname == "WARNING"
+            for record in caplog.records
+        )
 
 
 class TestRouterBodies:
@@ -739,11 +856,7 @@ class TestHttpShardPool:
         assert requests[0] is requests[1]  # one connection, no retry
 
     def test_fresh_connection_failure_is_503(self):
-        import socket
-
-        with socket.socket() as probe:  # a port nothing listens on
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
+        port = _closed_port()
         status, payload = run(
             HttpShard(f"127.0.0.1:{port}").request("GET", "/healthz", b"")
         )

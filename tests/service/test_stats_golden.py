@@ -7,9 +7,8 @@ cache hit and miss, a cancel, a deadline expiry, a raised execution
 failure and an ``ok: false`` result, both sides of a bid preemption,
 and spend.  The resulting ``json.dumps`` strings — key order, the
 conditional market keys, and ints staying ints included — must match
-the committed fixtures byte for byte, for a single service, for a
-two-shard :class:`ShardRouter`, and for each shard's
-``/v1/shard/samples``.
+the committed fixtures byte for byte, for a single service and for a
+two-shard :class:`ShardRouter`.
 
 The fixtures under ``golden/`` were generated by :func:`generate`
 (``python -c "from tests.service.test_stats_golden import generate;
@@ -173,7 +172,7 @@ def service_stats() -> str:
     return asyncio.run(main())
 
 
-def router_payloads() -> "tuple[str, str]":
+def router_stats() -> str:
     async def main():
         clock = new_clock()
         s0 = LocalShard(name="s0", service=make_service(clock))
@@ -194,15 +193,8 @@ def router_payloads() -> "tuple[str, str]":
         clock.now = 20.0
         status, stats = await router.dispatch("GET", "/stats", b"")
         assert status == 200
-        samples = {}
-        for shard in (s0, s1):
-            status, payload = await shard.request(
-                "GET", "/v1/shard/samples", b""
-            )
-            assert status == 200
-            samples[shard.name] = payload
         await router.aclose()
-        return json.dumps(stats), json.dumps(samples)
+        return json.dumps(stats)
 
     return asyncio.run(main())
 
@@ -221,9 +213,7 @@ def generate() -> None:
     try:
         GOLDEN.mkdir(exist_ok=True)
         (GOLDEN / "stats_service.json").write_text(service_stats())
-        stats, samples = router_payloads()
-        (GOLDEN / "stats_router.json").write_text(stats)
-        (GOLDEN / "samples_router.json").write_text(samples)
+        (GOLDEN / "stats_router.json").write_text(router_stats())
     finally:
         broker.execute_request = saved
 
@@ -233,10 +223,8 @@ class TestGoldenStats:
         golden = (GOLDEN / "stats_service.json").read_text()
         assert service_stats() == golden
 
-    def test_router_stats_and_samples_bytes(self, stubbed):
-        stats, samples = router_payloads()
-        assert stats == (GOLDEN / "stats_router.json").read_text()
-        assert samples == (GOLDEN / "samples_router.json").read_text()
+    def test_router_stats_bytes(self, stubbed):
+        assert router_stats() == (GOLDEN / "stats_router.json").read_text()
 
     def test_fixture_reaches_every_outcome(self):
         """The fixture itself exercises what it claims to pin."""
