@@ -32,7 +32,15 @@ import time
 
 from repro.api import InstanceSpec, SolveRequest, solve
 from repro.api.wire import request_to_wire
-from repro.service import LocalShard, ServiceClient, ShardRouter, TenantConfig
+from repro.service import (
+    AllocationService,
+    HttpShard,
+    LocalShard,
+    ServiceClient,
+    ServiceHTTPServer,
+    ShardRouter,
+    TenantConfig,
+)
 
 from conftest import SEED, write_artefact
 
@@ -44,6 +52,14 @@ BENCH_JSON = (
 REQUESTS_PER_TENANT = 15
 #: Concurrent requests in execution.
 MAX_IN_FLIGHT = 4
+
+#: Timed passes per setting of the global-admission row (each setting
+#: keeps its fastest pass).
+ADMISSION_PASSES = 15
+#: Largest routed-submit time with the global queue bound on, over the
+#: same submits with it off: below the bound a submit costs no extra
+#: shard round trip.  Fires on every core count.
+ADMISSION_RATIO_GATE = 1.15
 
 TENANTS = (
     TenantConfig("gold", weight=2),
@@ -216,6 +232,69 @@ def _sharded_row(n_shards: int) -> dict:
     }
 
 
+def _admission_row() -> dict:
+    """Routed-submit time with global admission on (bound 256) and off,
+    through a router over two in-process
+    :class:`~repro.service.ServiceHTTPServer`s reached as
+    :class:`~repro.service.HttpShard`s.  An untimed pass fills the
+    shards' result caches, so the timed sync submits are cache hits and
+    the router's shard round trips are most of their cost; the two
+    settings' passes are interleaved and each keeps its fastest."""
+    batch = _shard_batch()
+    pins = {t.name: str(i % 2) for i, t in enumerate(TENANTS)}
+
+    async def run() -> "dict[str, float]":
+        servers = [
+            ServiceHTTPServer(AllocationService(tenants=TENANTS), port=0)
+            for _ in range(2)
+        ]
+        for server in servers:
+            await server.start()
+        routers = {
+            setting: ShardRouter(
+                [HttpShard(f"127.0.0.1:{s.port}") for s in servers],
+                shard_map=pins, global_queue_depth=depth,
+            )
+            for setting, depth in (("off", None), ("on", 256))
+        }
+        for router in routers.values():
+            await router.start()
+
+        async def one_pass(router) -> float:
+            start = time.perf_counter()
+            for _, body in batch:
+                status, _ = await router.dispatch("POST", "/v1/submit", body)
+                assert status == 200, "admission bench saw a non-200"
+            return time.perf_counter() - start
+
+        best = dict.fromkeys(routers, float("inf"))
+        try:
+            for router in routers.values():
+                await one_pass(router)  # fills the caches, opens links
+            for i in range(ADMISSION_PASSES):
+                order = list(routers) if i % 2 else list(routers)[::-1]
+                for setting in order:
+                    best[setting] = min(
+                        best[setting], await one_pass(routers[setting])
+                    )
+        finally:
+            for router in routers.values():
+                await router.aclose()
+            for server in servers:
+                await server.aclose()
+        return best
+
+    best = asyncio.run(run())
+    return {
+        "n_shards": 2,
+        "n_requests": len(batch),
+        "passes": ADMISSION_PASSES,
+        "off_s": round(best["off"], 5),
+        "on_s": round(best["on"], 5),
+        "ratio_on_off": round(best["on"] / best["off"], 3),
+    }
+
+
 def regenerate_sharded() -> dict:
     """1-shard vs 2-shard sustained throughput through the router.
 
@@ -229,6 +308,7 @@ def regenerate_sharded() -> dict:
         "cpu_count": os.cpu_count(),
         "rows": [one, two],
         "speedup_2_shards": round(one["wall_s"] / two["wall_s"], 3),
+        "global_admission": _admission_row(),
     }
 
 
@@ -268,6 +348,14 @@ def test_service_throughput(benchmark, artefact_dir):
         f"  2-shard speedup: {sharded['speedup_2_shards']:.2f}x"
         f" (gated on >=4 cores; cpu_count {sharded['cpu_count']})"
     )
+    admission = sharded["global_admission"]
+    lines.append(
+        f"  global admission on/off over 2 HTTP shards:"
+        f" {admission['ratio_on_off']:.3f}x"
+        f" ({admission['on_s']*1e3:.1f} vs {admission['off_s']*1e3:.1f} ms"
+        f" per {admission['n_requests']} cached sync submits;"
+        f" gate <= {ADMISSION_RATIO_GATE})"
+    )
     write_artefact(artefact_dir, "service_throughput", "\n".join(lines))
 
     # -- the headline claims -------------------------------------------
@@ -284,6 +372,10 @@ def test_service_throughput(benchmark, artefact_dir):
     for row in sharded["rows"]:
         assert row["completed"] == row["n_requests"]
         assert row["rejected"] == 0
+    assert admission["ratio_on_off"] <= ADMISSION_RATIO_GATE, (
+        f"global admission made routed submits"
+        f" {admission['ratio_on_off']}x slower"
+    )
     if (os.cpu_count() or 1) >= 4:
         # two single-worker shards must beat one on real cores
         assert sharded["speedup_2_shards"] > 1.2, (

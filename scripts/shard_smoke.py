@@ -10,6 +10,10 @@ the router with the unchanged :class:`HttpServiceClient`, and asserts:
   calling :func:`repro.api.solve` directly (cost, winning heuristic,
   effective seed, processor count, failure records; timing/backend
   provenance excluded);
+* that batch, well below the global queue bound, raised each shard's
+  ``repro_service_requests_total`` by its share of the submits and sent
+  no load probe (``repro_router_load_probes_total`` unchanged): a
+  routed submit is one shard request;
 * the merged ``/stats`` reports ``backend: router`` over 2 shards,
   every request completed, each tenant's row present exactly once, and
   the per-shard breakdown accounts for all the traffic;
@@ -82,6 +86,25 @@ def _wire_view(result_dict: dict) -> dict:
     return {k: result_dict[k] for k in COMPARED_FIELDS}
 
 
+def _fleet_counts(metrics_text: str) -> tuple[dict, dict]:
+    """Per shard, from a router's ``/metrics``: admitted submits
+    (``repro_service_requests_total``) and load probes sent
+    (``repro_router_load_probes_total``)."""
+    admitted: dict[str, float] = {}
+    for shard, value in re.findall(
+        r'^repro_service_requests_total\{shard="([^"]+)",[^}]*'
+        r'outcome="admitted"\} (\S+)$', metrics_text, re.M,
+    ):
+        admitted[shard] = admitted.get(shard, 0) + float(value)
+    probes = {
+        shard: float(value) for shard, value in re.findall(
+            r'^repro_router_load_probes_total\{shard="([^"]+)"\} (\S+)$',
+            metrics_text, re.M,
+        )
+    }
+    return admitted, probes
+
+
 def _spawn(argv: list[str], env: dict) -> tuple[subprocess.Popen, int]:
     """Start one serve subprocess and parse its bound port from the
     banner line."""
@@ -135,6 +158,8 @@ def main() -> int:
             print("FAIL: router never became healthy")
             return 1
 
+        names = [f"127.0.0.1:{port}" for port in shard_ports]
+        admitted_before, probes_before = _fleet_counts(client.metrics())
         batch = _requests()
         mismatches = []
         for tenant, request in batch:
@@ -153,6 +178,31 @@ def main() -> int:
         if mismatches:
             print("FAIL: routed results diverged from direct solve()")
             return 1
+
+        # below the global bound a routed submit is one shard request
+        admitted, probes = _fleet_counts(client.metrics())
+        for index, name in enumerate(names):
+            share = sum(
+                rendezvous_shard(tenant, names) == index
+                for tenant, _ in batch
+            )
+            raised = admitted.get(name, 0) - admitted_before.get(name, 0)
+            if raised != share:
+                print(
+                    f"FAIL: shard {name} admitted {raised} of the batch,"
+                    f" its share is {share}"
+                )
+                return 1
+        if sorted(probes) != sorted(names) or probes != probes_before:
+            print(
+                f"FAIL: load probes went {probes_before} -> {probes}"
+                f" during a batch below the global bound"
+            )
+            return 1
+        print(
+            f"OK: the batch made one shard request per submit (no load"
+            f" probe; probes stayed at {probes})"
+        )
 
         # async ticket through the router
         request = SolveRequest(
@@ -263,11 +313,10 @@ def main() -> int:
         print(f"OK: /stats totals match merged /metrics: {scraped}")
 
         # restart acme's shard on its port: the router's pooled link
-        # to the old process is stale, and the next probe over it must
-        # still succeed (retried once on a fresh connection) — first a
-        # fleet health check, since a submit's global-admission load
-        # probe would take that link and tolerate its failure
-        names = [f"127.0.0.1:{port}" for port in shard_ports]
+        # to the old process is stale, and the next request over it
+        # must still succeed (retried once on a fresh connection) —
+        # first a fleet health check, which, unlike a global-admission
+        # load probe, does not tolerate that link's failure
         index = rendezvous_shard("acme", names)
         procs[index].terminate()
         procs[index].wait(timeout=10)

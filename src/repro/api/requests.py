@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from ..checks import _integer, _real
 from ..core.pipeline import AllocationResult
 from ..core.problem import ProblemInstance
 from ..dynamic.replay import (
@@ -80,6 +81,20 @@ class InstanceSpec:
     seed: int = 0
     n_object_types: int = 15
     rho: float = 1.0
+
+    def __post_init__(self) -> None:
+        # ExperimentConfig's rules, checked here so a malformed spec is
+        # a 400 at the service door instead of a 500 from the executor
+        for name in ("n_operators", "n_object_types"):
+            if _integer(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
+        _integer(self, "seed")
+        if _real(self, "alpha") < 0:  # NaN passes: it fails at downgrade
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not _real(self, "rho") > 0:
+            raise ValueError(f"rho must be > 0, got {self.rho}")
 
     def build(self) -> ProblemInstance:
         from ..experiments.config import ExperimentConfig
@@ -170,6 +185,14 @@ class SolveRequest:
         if (self.instance is None) == (self.spec is None):
             raise ValueError(
                 "exactly one of instance= or spec= must be given"
+            )
+        if self.instance is not None and not isinstance(
+            self.instance, ProblemInstance
+        ):
+            raise TypeError(
+                f"instance must be a ProblemInstance, got"
+                f" {type(self.instance).__name__} (pass an InstanceSpec"
+                f" as spec=)"
             )
         if self.portfolio is not None:
             members = tuple(self.portfolio)

@@ -33,7 +33,6 @@ EXPERIMENTS.md for the full derivation):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -43,6 +42,7 @@ from ..apptree.objects import (
     LOW_FREQUENCY_HZ,
     SMALL_SIZE_RANGE_MB,
 )
+from ..checks import _integer, _is_real, _real
 from ..units import (
     DEFAULT_LINK_BANDWIDTH_MBPS,
     OPS_PER_GHZ,
@@ -71,26 +71,6 @@ N_SWEEP_DEFAULT: tuple[int, ...] = (20, 40, 60, 80, 100, 120, 140)
 ALPHA_SWEEP_DEFAULT: tuple[float, ...] = (
     0.5, 0.7, 0.9, 1.1, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0, 2.2, 2.5,
 )
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real(config, name: str):
-    """A real field's value; ``TypeError`` otherwise."""
-    value = getattr(config, name)
-    if not _is_real(value):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _integer(config, name: str):
-    """An integer field's value; ``TypeError`` otherwise."""
-    value = getattr(config, name)
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

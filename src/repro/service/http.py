@@ -46,7 +46,10 @@ GET       /v1/trace/<id>    → ``{"trace_id", "spans": [...]}`` — every
 Request payloads ride the :mod:`repro.api.wire` format; malformed
 bodies are 400s with the wire error message, admission rejections are
 429s carrying the structured failure record, so a client can tell "you
-typo'd a field" from "slow down" without parsing prose.
+typo'd a field" from "slow down" without parsing prose.  Every response
+of a service's server carries its queue depth in one header,
+``X-Repro-Queued: <n>``; a router keeps its global-admission view from
+it.
 
 Async tickets are kept in memory: pending ones for as long as they
 run, finished ones until :data:`MAX_ASYNC_RESULTS` newer ones have
@@ -97,6 +100,11 @@ _STATUS_TEXT = {
 }
 
 _SUBMIT_FIELDS = ("tenant", "priority", "deadline_s", "bid", "request")
+
+#: Response header on every answer of a :class:`ServiceHTTPServer`: the
+#: service's queue depth when the answer was written, which a router
+#: reads as that shard's load instead of probing ``/v1/shard/load``.
+QUEUED_HEADER = "X-Repro-Queued"
 
 #: The public routes, named in a shard's and a router's 404/405 alike.
 KNOWN_ROUTES = (
@@ -200,8 +208,9 @@ class BaseHTTPServer:
 
     Subclasses provide :meth:`dispatch` (the *app layer*, returning
     ``(status, payload)`` and never raising) plus optional
-    :meth:`_on_start` / :meth:`_on_close` lifecycle hooks — the
-    single-shard :class:`ServiceHTTPServer` and the front-tier
+    :meth:`_on_start` / :meth:`_on_close` lifecycle hooks and a
+    :meth:`_head_lines` response-head hook — the single-shard
+    :class:`ServiceHTTPServer` and the front-tier
     :class:`~repro.service.shard.RouterHTTPServer` share everything
     else.  ``port=0`` picks a free port; read it back from
     :attr:`port` after :meth:`start`."""
@@ -239,6 +248,11 @@ class BaseHTTPServer:
 
     async def _on_close(self) -> None:
         """Hook: tear down the app layer after the socket closed."""
+
+    def _head_lines(self) -> str:
+        """Hook: extra header lines (each ending in CRLF) written into
+        every response head, read when the response is written."""
+        return ""
 
     async def start(self) -> None:
         await self._on_start()
@@ -324,7 +338,7 @@ class BaseHTTPServer:
                     f"Content-Type: {content_type}\r\n"
                     f"Content-Length: {len(body)}\r\n"
                     f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                    f"\r\n\r\n"
+                    f"\r\n{self._head_lines()}\r\n"
                 ).encode("ascii")
                 writer.write(head + body)
                 await writer.drain()
@@ -437,6 +451,9 @@ class ServiceHTTPServer(BaseHTTPServer):
             await asyncio.gather(
                 *self._async_tasks, return_exceptions=True
             )
+
+    def _head_lines(self) -> str:
+        return f"{QUEUED_HEADER}: {self.service.queued}\r\n"
 
     # ------------------------------------------------------------------
     # routes

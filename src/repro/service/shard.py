@@ -31,6 +31,17 @@ which is what makes a 1-shard deployment byte-identical to today's
 single ``AllocationService``: every route is then forwarded verbatim,
 no aggregation, no rewrite.
 
+Global admission: every answer of a shard reports its queue depth (the
+``X-Repro-Queued`` response header; a :class:`LocalShard` reads its
+service's live count).  The router's view of a shard is that latest
+report plus the router's own submits to it that have not been answered
+yet, and a submit whose fleet view is below the bound is forwarded with
+no other shard request.  Rejection and preemption are always decided on
+a fresh ``/v1/shard/load`` probe of every shard.  Traffic that reaches
+a shard without this router (direct clients, a second router) enters
+the view at that shard's next answer; concurrent submits are not
+serialised against each other.
+
 Fleet view: per scrape the router folds every shard's registries,
 exported on the shard-control route ``/v1/shard/metrics``, into one
 fresh :class:`~repro.telemetry.metrics.MetricsRegistry` with its own
@@ -56,7 +67,13 @@ from ..telemetry import get_logger, record_span, scrape
 from ..telemetry.metrics import MetricsRegistry, summarize
 from ..telemetry.trace import TRACE_STORE, span_to_dict
 from .broker import _OUTCOMES, AllocationService
-from .http import BaseHTTPServer, ServiceHTTPServer, _no_route, _PlainText
+from .http import (
+    QUEUED_HEADER,
+    BaseHTTPServer,
+    ServiceHTTPServer,
+    _no_route,
+    _PlainText,
+)
 from .tenants import TenantConfig
 
 __all__ = [
@@ -140,6 +157,9 @@ class ShardBackend:
     #: and metrics registry (no trace fetch needed for it, and its
     #: process-level families are the router's own).
     shares_process_state: bool = False
+    #: The shard's queue depth as of its latest answer; ``None`` while
+    #: unknown (no answer yet, or the latest exchange failed).
+    queued: "int | None" = None
 
     async def start(self) -> None:
         """Bring the shard up (no-op for externally managed shards)."""
@@ -182,6 +202,11 @@ class LocalShard(ShardBackend):
         )
         self.app = ServiceHTTPServer(self.service)
 
+    @property
+    def queued(self) -> int:
+        """The service's live queue depth."""
+        return self.service.queued
+
     async def start(self) -> None:
         await self.service.start()
 
@@ -208,7 +233,10 @@ class HttpShard(ShardBackend):
     retried once on a fresh connection — the shard closed that idle
     connection, so it never read the request.  Any other failure, and
     every failure on a fresh connection, is a 503 ``unreachable``; a
-    request whose response had started is never retried."""
+    request whose response had started is never retried.
+
+    Each answer's ``X-Repro-Queued`` header becomes :attr:`queued`; a
+    failed request resets it to ``None``."""
 
     def __init__(self, base_url: str, *, timeout: float = 120.0) -> None:
         parsed = urllib.parse.urlsplit(
@@ -245,6 +273,7 @@ class HttpShard(ShardBackend):
             )
         except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
                 ValueError) as err:
+            self.queued = None
             return 503, {
                 "error": f"shard {self.name} unreachable:"
                          f" {type(err).__name__}: {err}"
@@ -313,6 +342,8 @@ class HttpShard(ShardBackend):
             self._idle.append(stream)
         else:
             writer.close()
+        reported = headers.get(QUEUED_HEADER.lower(), "")
+        self.queued = int(reported) if reported.isdecimal() else None
         if headers.get("content-type", "").startswith("text/plain"):
             return status, _PlainText(body.decode("utf8"))
         try:
@@ -393,9 +424,16 @@ class ShardRouter:
         self._preemptions = self.metrics.counter(
             "repro_router_preemptions_total",
             "Cross-shard preemptions executed by the router.")
+        probes = self.metrics.counter(
+            "repro_router_load_probes_total",
+            "Load probes sent to a shard by global admission.", ("shard",))
+        #: per shard, its load-probe count (shown from 0 on)
+        self._probes = [probes.labels(shard=name) for name in self._names]
         self._probe_failures = self.metrics.counter(
             "repro_router_load_probe_failures_total",
             "Failed load probes (the shard counted 0 queued).", ("shard",))
+        #: per shard, the submits forwarded to it and not answered yet
+        self._unanswered = [0] * self.n_shards
 
     def _resolve_shard(self, shard: str) -> int:
         if shard in self._names:
@@ -551,9 +589,15 @@ class ShardRouter:
                 http_status=verdict[0],
             )
             return verdict
-        status, payload = await self._forward(
-            shard_index, "POST", full_path, raw
-        )
+        # a fast-path admit reaches this line without an await, so the
+        # next submit's view already counts this one
+        self._unanswered[shard_index] += 1
+        try:
+            status, payload = await self._forward(
+                shard_index, "POST", full_path, raw
+            )
+        finally:
+            self._unanswered[shard_index] -= 1
         record_span(
             "router.route", trace_id,
             start=wall, duration_s=time.time() - wall,
@@ -614,13 +658,36 @@ class ShardRouter:
         rejects at the router with the same structured failure shape a
         shard emits.
 
-        A shard whose ``/v1/shard/load`` probe fails counts as 0 queued,
-        so one dead shard does not stop every tenant's submits; each
-        such failure bumps ``repro_router_load_probe_failures_total``
-        for that shard and logs a warning, because the global bound no
-        longer covers what that shard has queued."""
+        The router's view of a shard is the queue depth the shard
+        reported on its latest answer (:attr:`ShardBackend.queued`)
+        plus this router's submits to it that have not been answered
+        yet.  When every shard's view is known and their sum is below
+        ``global_queue_depth``, the submit is admitted with no shard
+        request.  Otherwise every shard is probed on
+        ``/v1/shard/load`` (each probe counted in
+        ``repro_router_load_probes_total``), and only that fresh probe
+        rejects or preempts.  Traffic that reaches a shard without this
+        router (direct clients, a second router) enters the view at
+        that shard's next answer; as before, concurrent submits are not
+        serialised against each other.
+
+        A shard whose probe fails counts as 0 queued, so one dead shard
+        does not stop every tenant's submits; each such failure bumps
+        ``repro_router_load_probe_failures_total`` for that shard and
+        logs a warning, because the global bound no longer covers what
+        that shard has queued."""
         if self.global_queue_depth is None:
             return None
+        view = 0
+        for shard, unanswered in zip(self.shards, self._unanswered):
+            if shard.queued is None:
+                break
+            view += shard.queued + unanswered
+        else:
+            if view < self.global_queue_depth:
+                return None
+        for probes in self._probes:
+            probes.inc()
         loads = await asyncio.gather(
             *(shard.request("GET", "/v1/shard/load", b"")
               for shard in self.shards)

@@ -1,5 +1,6 @@
 """Tests for the typed request/result objects."""
 
+import math
 import pickle
 
 import pytest
@@ -32,6 +33,28 @@ class TestInstanceSpec:
         spec = InstanceSpec(n_operators=10, seed=9)
         assert spec.build().tree.total_work == spec.build().tree.total_work
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("n_operators", -1, ValueError),
+        ("n_operators", 0, ValueError),
+        ("n_operators", "x", TypeError),
+        ("n_operators", 20.0, TypeError),
+        ("n_operators", True, TypeError),
+        ("seed", 1.5, TypeError),
+        ("seed", None, TypeError),
+        ("alpha", -1, ValueError),
+        ("alpha", "0.9", TypeError),
+        ("n_object_types", 0, ValueError),
+        ("rho", 0.0, ValueError),
+        ("rho", math.nan, ValueError),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            InstanceSpec(**{field: value})
+
+    def test_nan_and_zero_alpha_still_construct(self):
+        assert math.isnan(InstanceSpec(alpha=math.nan).alpha)
+        assert InstanceSpec(alpha=0).alpha == 0
+
 
 class TestSolveRequest:
     def test_requires_exactly_one_input(self, micro_instance):
@@ -39,6 +62,10 @@ class TestSolveRequest:
             SolveRequest()
         with pytest.raises(ValueError, match="exactly one"):
             SolveRequest(instance=micro_instance, spec=InstanceSpec())
+
+    def test_spec_passed_as_instance_is_a_type_error(self):
+        with pytest.raises(TypeError, match="spec="):
+            SolveRequest(instance=InstanceSpec())
 
     def test_unknown_strategy_fails_fast_with_suggestion(
         self, micro_instance

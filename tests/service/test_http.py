@@ -7,11 +7,14 @@ import threading
 import pytest
 
 from repro.api import InstanceSpec, ReplayRequest, SolveRequest, solve
+from repro.api.wire import request_to_wire
 from repro.service import (
     AllocationService,
     HttpServiceClient,
+    LocalShard,
     ServiceError,
     ServiceHTTPServer,
+    ShardRouter,
     TenantConfig,
 )
 
@@ -251,6 +254,86 @@ class TestSweepAtTheDoor:
         status, payload = self.dispatch(wire)
         assert status == 400
         assert "unlisted [99.0]" in payload["error"]
+
+
+class TestSpecAtTheDoor:
+    """A malformed instance spec is a 400 at wire decode, on a shard and
+    through a router, before admission: no rate-limit token, queue
+    slot or admission fee moves."""
+
+    CASES = [
+        ("n_operators", -1, "n_operators must be >= 1"),
+        ("n_operators", "x", "n_operators must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("alpha", -1, "alpha must be >= 0"),
+        ("n_object_types", 0, "n_object_types must be >= 1"),
+    ]
+
+    @staticmethod
+    def body(field, value) -> bytes:
+        wire = request_to_wire(SolveRequest(
+            spec=InstanceSpec(n_operators=6, seed=1), seed=1
+        ))
+        wire["spec"][field] = value
+        return json.dumps({"tenant": "payer", "request": wire}).encode()
+
+    @staticmethod
+    def service() -> AllocationService:
+        return AllocationService(tenants=(TenantConfig(
+            "payer", rate_per_s=0.0, burst=3, budget=10.0,
+            admission_price=1.0,
+        ),))
+
+    @staticmethod
+    def ledger(service: AllocationService) -> tuple:
+        state = service.registry.get("payer")
+        return (
+            state.bucket.tokens, state.account.spent, service.queued,
+            service.snapshot()["totals"],
+        )
+
+    @pytest.mark.parametrize("field, value, message", CASES)
+    def test_on_a_shard(self, field, value, message):
+        async def main():
+            server = ServiceHTTPServer(self.service())
+            await server.service.start()
+            try:
+                before = self.ledger(server.service)
+                response = await server.dispatch(
+                    "POST", "/v1/submit", self.body(field, value)
+                )
+                return response, before, self.ledger(server.service)
+            finally:
+                await server.aclose()
+
+        (status, payload), before, after = asyncio.run(main())
+        assert status == 400
+        assert message in payload["error"]
+        assert after == before
+
+    @pytest.mark.parametrize("field, value, message", CASES)
+    def test_through_a_router(self, field, value, message):
+        async def main():
+            shards = [
+                LocalShard(self.service(), name=f"shard-{i}")
+                for i in range(2)
+            ]
+            router = ShardRouter(shards, global_queue_depth=4)
+            await router.start()
+            try:
+                before = [self.ledger(shard.service) for shard in shards]
+                response = await router.dispatch(
+                    "POST", "/v1/submit", self.body(field, value)
+                )
+                after = [self.ledger(shard.service) for shard in shards]
+                return response, before, after
+            finally:
+                await router.aclose()
+
+        (status, payload), before, after = asyncio.run(main())
+        assert status == 400
+        assert message in payload["error"]
+        assert after == before
 
 
 class TestReadTimeout:

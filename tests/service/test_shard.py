@@ -37,6 +37,7 @@ from repro.service import (
     AllocationService,
     HttpShard,
     LocalShard,
+    RouterHTTPServer,
     ServiceHTTPServer,
     ShardRouter,
     TenantConfig,
@@ -864,3 +865,286 @@ class TestHttpShardPool:
         assert payload["error"].startswith(
             f"shard 127.0.0.1:{port} unreachable:"
         )
+
+
+# ----------------------------------------------------------------------
+# global admission from the shards' reported queue depths
+# ----------------------------------------------------------------------
+
+class _RecordingServer(ServiceHTTPServer):
+    """Records the route of every request it serves over its socket."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    async def dispatch(self, method, path, raw):
+        self.seen.append(f"{method} {path}")
+        return await super().dispatch(method, path, raw)
+
+
+LOAD = "GET /v1/shard/load"
+SUBMIT = "POST /v1/submit"
+
+
+async def _http_fleet(depth, *, timeout=120.0, **service_kwargs):
+    """Two recording shard servers, and a router over them as
+    :class:`HttpShard`s: ``acme`` lives on shard 0, ``globex`` on 1."""
+    servers = [
+        _RecordingServer(AllocationService(**service_kwargs), port=0)
+        for _ in range(2)
+    ]
+    for server in servers:
+        await server.start()
+    router = ShardRouter(
+        [HttpShard(f"127.0.0.1:{servers[0].port}", timeout=timeout),
+         HttpShard(f"127.0.0.1:{servers[1].port}")],
+        shard_map={"acme": "0", "globex": "1"},
+        global_queue_depth=depth,
+    )
+    await router.start()
+    return router, servers
+
+
+async def _close_fleet(router, servers):
+    await router.aclose()
+    for server in servers:
+        await server.aclose()
+
+
+def _probes(router) -> dict:
+    return {
+        shard: n for (shard,), n in router.metrics.counter(
+            "repro_router_load_probes_total", "", ("shard",)
+        ).totals().items()
+    }
+
+
+class TestAdmissionView:
+    def test_below_the_bound_a_submit_is_one_shard_request(self, gated):
+        """Until a shard has answered its view is unknown, so the first
+        submit probes; after that, 20 submits are 20 shard requests."""
+        async def main():
+            router, servers = await _http_fleet(256)
+            try:
+                assert [s.queued for s in router.shards] == [None, None]
+                assert set(_probes(router).values()) == {0}
+                status, _ = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(0), "acme")
+                )
+                assert status == 200
+                assert servers[0].seen == [LOAD, SUBMIT]
+                assert servers[1].seen == [LOAD]
+                assert [s.queued for s in router.shards] == [0, 0]
+                for server in servers:
+                    server.seen.clear()
+                for i in range(20):
+                    tenant = ("acme", "globex")[i % 2]
+                    status, _ = await router.dispatch(
+                        "POST", "/v1/submit",
+                        submit_raw(solve_req(i + 1), tenant),
+                    )
+                    assert status == 200
+                seen = [list(s.seen) for s in servers]
+                _, text = await router.dispatch("GET", "/metrics", b"")
+                return seen, _probes(router), text.text
+            finally:
+                await _close_fleet(router, servers)
+
+        seen, probes, text = run(main())
+        assert seen == [[SUBMIT] * 10, [SUBMIT] * 10]
+        assert set(probes.values()) == {1}
+        for shard in probes:
+            assert (
+                f'repro_router_load_probes_total{{shard="{shard}"}} 1'
+                in text.splitlines()
+            )
+
+    def test_stale_high_view_is_probed_once_then_refreshed(self, gated):
+        """A shard last reported at the bound but drained since: the
+        next submit probes, is admitted, and the probe's answer puts
+        the view back below the bound."""
+        async def main():
+            router, servers = await _http_fleet(2, max_in_flight=1)
+            try:
+                tickets = []
+                for i, label in enumerate(("block", "q-0", "q-1")):
+                    status, payload = await router.dispatch(
+                        "POST", "/v1/submit?mode=async",
+                        submit_raw(solve_req(i, label), "acme"),
+                    )
+                    assert status == 202, payload
+                    tickets.append(payload["ticket"])
+                    await _spin_until(gated.started.is_set)
+                assert router.shards[0].queued == 2
+                gated.gate.set()
+                service = servers[0].service
+                await _spin_until(
+                    lambda: service.queued == 0 and service.in_flight == 0
+                )
+                assert router.shards[0].queued == 2  # no answer since
+                for server in servers:
+                    server.seen.clear()
+                first = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(5), "acme")
+                )
+                view = [s.queued for s in router.shards]
+                second = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(6), "acme")
+                )
+                return first, second, view, [s.seen for s in servers]
+            finally:
+                await _close_fleet(router, servers)
+
+        first, second, view, seen = run(main())
+        assert first[0] == 200 and second[0] == 200
+        assert view == [0, 0]
+        assert seen == [[LOAD, SUBMIT, SUBMIT], [LOAD]]
+
+    def test_direct_traffic_enters_the_view_at_the_next_answer(
+        self, gated
+    ):
+        """Submits that reach shard 0 without the router are not in
+        its view until shard 0 answers the router again; then the next
+        submit probes and the bound rejects it."""
+        async def main():
+            router, servers = await _http_fleet(2, max_in_flight=1)
+            direct = HttpShard(f"127.0.0.1:{servers[0].port}")
+            try:
+                assert (await router.dispatch("GET", "/healthz", b""))[0] \
+                    == 200
+                for i, label in enumerate(("block", "q-0", "q-1")):
+                    status, _ = await direct.request(
+                        "POST", "/v1/submit?mode=async",
+                        submit_raw(solve_req(i, label), "acme"),
+                    )
+                    assert status == 202
+                    await _spin_until(gated.started.is_set)
+                stale = router.shards[0].queued
+                assert (await router.dispatch("GET", "/healthz", b""))[0] \
+                    == 200
+                fresh = router.shards[0].queued
+                for server in servers:
+                    server.seen.clear()
+                verdict = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(9), "globex")
+                )
+                gated.gate.set()
+                return stale, fresh, verdict, [s.seen for s in servers]
+            finally:
+                await direct.aclose()
+                await _close_fleet(router, servers)
+
+        stale, fresh, (status, payload), seen = run(main())
+        assert (stale, fresh) == (0, 2)
+        assert status == 429
+        assert payload["failure"]["detail"]["queued"] == 2
+        assert seen == [[LOAD], [LOAD]]
+
+    def test_unanswered_submits_count_toward_the_bound(self, gated):
+        """Sync submits still waiting on their answer are in the view:
+        with one running and two queued on shard 0, which last reported
+        1 queued, a fourth submit probes and is rejected."""
+        async def main():
+            router, servers = await _http_fleet(2, max_in_flight=1)
+            service = servers[0].service
+            pending = []
+            try:
+                assert (await router.dispatch("GET", "/healthz", b""))[0] \
+                    == 200
+                for i, label in enumerate(("block", "q-0", "q-1")):
+                    pending.append(asyncio.ensure_future(router.dispatch(
+                        "POST", "/v1/submit",
+                        submit_raw(solve_req(i, label), "acme"),
+                    )))
+                    await _spin_until(
+                        lambda i=i: gated.started.is_set()
+                        and service.queued == i
+                    )
+                # the probe that admitted q-1 saw q-0 queued; shard 0
+                # has not answered since
+                assert router.shards[0].queued == 1
+                verdict = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(9), "globex")
+                )
+            finally:
+                gated.gate.set()
+                answers = await asyncio.gather(*pending)
+                await _close_fleet(router, servers)
+            return verdict, answers
+
+        (status, payload), answers = run(main())
+        assert status == 429
+        assert payload["failure"]["detail"]["queued"] == 2
+        assert [answer[0] for answer in answers] == [200, 200, 200]
+
+    def test_failed_exchange_resets_the_view(self, gated):
+        """A submit to shard 0 times out (a 503): shard 0's view is
+        unknown again, so the next submit, to shard 1, probes both."""
+        async def main():
+            router, servers = await _http_fleet(256, timeout=0.3)
+            try:
+                assert (await router.dispatch("GET", "/healthz", b""))[0] \
+                    == 200
+                assert router.shards[0].queued == 0
+                failed = await router.dispatch(
+                    "POST", "/v1/submit",
+                    submit_raw(solve_req(1, "block"), "acme"),
+                )
+                view = router.shards[0].queued
+                gated.gate.set()
+                for server in servers:
+                    server.seen.clear()
+                status, _ = await router.dispatch(
+                    "POST", "/v1/submit", submit_raw(solve_req(2), "globex")
+                )
+                return failed, view, status, [s.seen for s in servers]
+            finally:
+                await _close_fleet(router, servers)
+
+        (failed_status, failed), view, status, seen = run(main())
+        assert failed_status == 503 and "unreachable" in failed["error"]
+        assert view is None
+        assert status == 200
+        assert seen == [[LOAD], [LOAD, SUBMIT]]
+
+    def test_header_on_every_shard_answer_not_on_the_router(self):
+        requests = [
+            b"GET /healthz HTTP/1.1\r\n\r\n",
+            b"GET /metrics HTTP/1.1\r\n\r\n",
+            b"GET /nowhere HTTP/1.1\r\n\r\n",
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: 1\r\n\r\n{",
+            b"POST /v1/cancel HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+        ]
+
+        async def heads(port):
+            out = []
+            for request in requests:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(request)
+                out.append((await _read_head(reader)).decode("latin1"))
+                writer.close()
+            return out
+
+        async def main():
+            shard = ServiceHTTPServer(AllocationService(), port=0)
+            await shard.start()
+            front = RouterHTTPServer(
+                ShardRouter([LocalShard(name=f"shard-{i}")
+                             for i in range(2)]),
+                port=0,
+            )
+            await front.start()
+            try:
+                return await heads(shard.port), await heads(front.port)
+            finally:
+                await front.aclose()
+                await shard.aclose()
+
+        shard_heads, router_heads = run(main())
+        for head in shard_heads:
+            assert "\r\nX-Repro-Queued: 0\r\n" in head, head
+        for head in router_heads:
+            assert "x-repro-queued" not in head.lower(), head
