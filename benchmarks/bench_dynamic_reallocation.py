@@ -38,12 +38,17 @@ import os
 import pathlib
 import time
 
-from repro.api import ParallelExecutor, ReplayRequest, replay, replay_many
+from repro.api import ParallelExecutor, ReplayRequest, replay
 from repro.dynamic import POLICY_ORDER, make_trace
-from repro.simulator import FLOW_KERNELS
-from repro.telemetry import get_registry
 
-from conftest import SEED, write_artefact
+from conftest import (
+    SEED,
+    kernels_since,
+    observed_backend,
+    replay_observed,
+    sim_runs,
+    write_artefact,
+)
 
 TRACES = ("ramp", "churn", "multi-app")
 #: The churn trace carries the headline assertion, so it alone pays for
@@ -70,36 +75,27 @@ def _requests() -> list[ReplayRequest]:
     ]
 
 
-def _sim_runs_by_kernel() -> dict[str, float]:
-    """The engine's own per-kernel run counter (the production
-    ``repro_sim_runs_total`` metric), read through the registry."""
-    runs = get_registry().get("repro_sim_runs_total")
-    return {k: runs.labels(kernel=k).value for k in FLOW_KERNELS}
-
-
 def regenerate():
     # -- serial leg: one timed replay per (trace, policy) ---------------
     serial_results = []
     serial_walls = []
-    runs_before = _sim_runs_by_kernel()
+    runs_before = sim_runs()
     serial_start = time.perf_counter()
     for request in _requests():
         start = time.perf_counter()
         serial_results.append(replay(request))
         serial_walls.append(time.perf_counter() - start)
     serial_s = time.perf_counter() - serial_start
-    runs_after = _sim_runs_by_kernel()
     # provenance from what ran: the kernels whose run count moved
-    sim_kernels = [
-        k for k in FLOW_KERNELS if runs_after[k] > runs_before[k]
-    ]
+    sim_kernels = kernels_since(runs_before)
 
     # -- parallel leg: same batch through the process pool --------------
+    # (replay_many's own path, executor.map of replay, observed)
+    executor = ParallelExecutor(workers=WORKERS)
     parallel_start = time.perf_counter()
-    parallel_results = replay_many(
-        _requests(), executor=ParallelExecutor(workers=WORKERS)
-    )
+    observed = executor.map(replay_observed, _requests())
     parallel_s = time.perf_counter() - parallel_start
+    parallel_results = [result for result, _, _ in observed]
 
     identical = [r.to_json() for r in serial_results] == [
         r.to_json() for r in parallel_results
@@ -122,6 +118,7 @@ def regenerate():
         data[trace_name] = per_policy
 
     parallel_record = {
+        "backend": observed_backend(executor, observed),
         "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         "n_replays": len(serial_results),
@@ -167,7 +164,9 @@ def test_dynamic_reallocation(benchmark, artefact_dir):
                 # the ≥4-core-gated speedup assertion below is only
                 # interpretable if the artifact says what ran where
                 "cpu_count": os.cpu_count(),
-                "backend": "serial+process-pool",
+                # the serial leg runs in this process; the parallel
+                # leg's executor is the one that ran its replays
+                "backend": f"serial+{parallel_record['backend']}",
                 #: the max-min kernel the validated replays ran on (as
                 #: counted by the simulator's own run metric);
                 #: bench_simulator.py races it against the naive oracle.

@@ -51,7 +51,7 @@ import pathlib
 import time
 
 import repro
-from repro.api import ReplayRequest, get_executor, replay, replay_many
+from repro.api import ReplayRequest, get_executor, replay
 from repro.core import allocate
 from repro.dynamic import POLICY_ORDER, make_trace
 from repro.simulator import (
@@ -60,7 +60,14 @@ from repro.simulator import (
     simulate_allocation,
 )
 
-from conftest import SEED, write_artefact
+from conftest import (
+    SEED,
+    kernels_since,
+    observed_backend,
+    replay_observed,
+    sim_runs,
+    write_artefact,
+)
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
@@ -186,23 +193,24 @@ def _pipelined_campaign(policies, serial_oracle=None) -> dict:
     workers = min(PIPELINE_WORKERS, os.cpu_count() or 1)
     executor = get_executor(workers)
     try:
+        # replay_many's own path (executor.map of replay), observed
         start = time.perf_counter()
-        results = replay_many(requests, executor=executor)
+        observed = executor.map(replay_observed, requests)
         wall = time.perf_counter() - start
-        backend = executor.name
     finally:
         close = getattr(executor, "close", None)
         if close is not None:
             close()
-    for policy, result in zip(policies, results):
+    kernels = sorted({k for _, ran, _ in observed for k in ran})
+    for policy, (result, _, _) in zip(policies, observed):
         assert result.to_json() == serial_oracle[policy], (
             f"pipelined campaign diverged from the serial order on"
             f" {RACE_TRACE}/{policy}"
         )
     return {
-        "backend": backend,
+        "backend": observed_backend(executor, observed),
         "workers": workers,
-        "kernel": "warm",
+        "kernel": "+".join(kernels),
         "wall_s": round(wall, 4),
         "bit_identical_to_serial": True,
     }
@@ -218,6 +226,7 @@ def _telemetry_overhead(rounds: int = 3) -> dict:
 
     oracle = None
     walls = {True: [], False: []}
+    runs_before = sim_runs()
     for _ in range(rounds):
         for flag in (True, False):
             set_enabled(flag)
@@ -238,7 +247,7 @@ def _telemetry_overhead(rounds: int = 3) -> dict:
     return {
         "trace": RACE_TRACE,
         "policy": "harvest",
-        "kernel": "warm",
+        "kernel": "+".join(kernels_since(runs_before)),
         "rounds": rounds,
         "wall_on_s": round(wall_on, 4),
         "wall_off_s": round(wall_off, 4),

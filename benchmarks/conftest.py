@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -39,3 +40,40 @@ def artefact_dir() -> pathlib.Path:
 
 def write_artefact(path: pathlib.Path, name: str, text: str) -> None:
     (path / f"{name}.txt").write_text(text, encoding="utf8")
+
+
+def sim_runs() -> dict[str, float]:
+    """Simulator runs completed in this process so far, per flow kernel:
+    the engine's own ``repro_sim_runs_total`` counter, labelled with
+    each run's ``SimulationResult.kernel``."""
+    from repro.telemetry import get_registry
+
+    runs = get_registry().get("repro_sim_runs_total")
+    if runs is None:
+        return {}
+    return {key[0]: total for key, total in runs.totals().items()}
+
+
+def kernels_since(before: dict[str, float]) -> list[str]:
+    """The flow kernels whose run count moved since ``before``
+    (a :func:`sim_runs` reading)."""
+    return sorted(k for k, n in sim_runs().items() if n > before.get(k, 0))
+
+
+def replay_observed(request):
+    """``replay(request)`` plus what ran it: ``(result, flow kernels of
+    its simulator runs, pid of the process that ran it)``.  Module
+    level, so an executor can ship it to worker processes."""
+    from repro.api import replay
+
+    before = sim_runs()
+    result = replay(request)
+    return result, kernels_since(before), os.getpid()
+
+
+def observed_backend(executor, observed) -> str:
+    """``executor.name`` when :func:`replay_observed` results came back
+    from worker processes; ``"serial"`` when every one ran in this
+    process (a pool falls back to in-process for tiny batches)."""
+    pids = {pid for _, _, pid in observed}
+    return executor.name if pids - {os.getpid()} else "serial"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..checks import _integer, _real
+from ..checks import _at_least, _boolean, _finite, _integer, _positive, _real
 from ..core.pipeline import AllocationResult
 from ..core.problem import ProblemInstance
 from ..dynamic.replay import (
@@ -35,7 +35,8 @@ from ..dynamic.replay import (
     DEFAULT_MIGRATION_COST_PER_MB,
     DEFAULT_SALVAGE_FRACTION,
 )
-from ..dynamic.traces import WorkloadTrace
+from ..dynamic.traces import TRACE_FACTORIES, WorkloadTrace
+from ..errors import did_you_mean
 from . import registry
 
 if TYPE_CHECKING:  # avoids a module cycle with repro.experiments
@@ -86,15 +87,11 @@ class InstanceSpec:
         # ExperimentConfig's rules, checked here so a malformed spec is
         # a 400 at the service door instead of a 500 from the executor
         for name in ("n_operators", "n_object_types"):
-            if _integer(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
+            _at_least(self, name, 1, _integer)
         _integer(self, "seed")
         if _real(self, "alpha") < 0:  # NaN passes: it fails at downgrade
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not _real(self, "rho") > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+        _positive(self, "rho")
 
     def build(self) -> ProblemInstance:
         from ..experiments.config import ExperimentConfig
@@ -207,8 +204,12 @@ class SolveRequest:
             _check_ref(self.server, "server")
         if isinstance(self.refine, str):
             _check_ref(self.refine, "refine")
-        if self.bid is not None and self.bid < 0:
-            raise ValueError(f"bid must be >= 0, got {self.bid}")
+        if self.seed is not None:  # numpy seeds the solve with it
+            _at_least(self, "seed", 0, _integer)
+        if self.bid is not None:
+            _at_least(self, "bid", 0, _finite)
+        if self.time_budget_s is not None:
+            _at_least(self, "time_budget_s", 0)
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -371,6 +372,29 @@ class ReplayRequest:
     trace_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.trace, str):
+            if self.trace not in TRACE_FACTORIES:
+                raise ValueError(
+                    f"unknown trace {self.trace!r}"
+                    f"{did_you_mean(self.trace, TRACE_FACTORIES)}"
+                    f" (known: {', '.join(sorted(TRACE_FACTORIES))})"
+                )
+        elif not isinstance(self.trace, WorkloadTrace):
+            raise TypeError(
+                f"trace must be a trace family name or a WorkloadTrace,"
+                f" got {type(self.trace).__name__}"
+            )
+        _integer(self, "seed")
+        _at_least(self, "n_results", 1, _integer)
+        for name in ("migration_cost", "migration_cost_per_mb"):
+            _at_least(self, name, 0, _finite)
+        if not 0 <= _real(self, "salvage_fraction") <= 1:  # NaN fails
+            raise ValueError(
+                f"salvage_fraction must be in [0, 1], got"
+                f" {self.salvage_fraction}"
+            )
+        for name in ("validate", "sim_warmup", "sim_transitions"):
+            _boolean(self, name)
         _check_ref(self.policy, "policy")
         _check_ref(self.migration_model, "migration")
         if self.pricing is not None:

@@ -44,7 +44,12 @@ Each epoch's allocation is re-verified against Eq. 1–5 (violations are
 *data* here, not errors — the ``static`` baseline is expected to
 violate once the workload drifts), and optionally validated end-to-end
 in the steady-state simulator under the reserved flow policy, counting
-throughput violations and download-deadline misses.
+throughput violations and download-deadline misses.  Validation runs
+are memoised for the length of one replay call, keyed on everything
+the simulator reads (:func:`_simulation_key`): a trace that returns to
+a platform it already validated (servers toggling back, ρ walking
+back) reuses the run instead of simulating it again.  The simulator is
+deterministic, so the memo changes no output.
 
 Determinism: given the same trace (same seed) and policy, the whole
 :class:`ReplayResult` — including its JSON rendering — is bit-identical
@@ -98,6 +103,28 @@ def pipeline_warmup_results(alloc: Allocation) -> int:
     :data:`_WARMUP_DEPTHS` × the number of pipeline stages (tree height
     + 1).  Used by warm-up-aware validation (``sim_warmup=True``)."""
     return _WARMUP_DEPTHS * (alloc.instance.tree.height + 1)
+
+
+def _simulation_key(alloc: Allocation, warmup: int) -> tuple:
+    """Everything a validation run of ``alloc`` reads, as a memo key
+    (the run's count and kernel are fixed for one replay).  The tree is
+    keyed by identity, so the memo entry must keep the tree alive.
+    Processors and downloads keep their order: the simulator launches
+    the first refreshes in download order, all at ``t = 0``."""
+    inst = alloc.instance
+    net = inst.network
+    return (
+        id(inst.tree),
+        inst.rho,
+        tuple((p.uid, p.speed_ops, p.nic_mbps) for p in alloc.processors),
+        tuple(sorted(alloc.assignment.items())),
+        tuple(alloc.downloads.items()),
+        tuple((l, inst.farm[l].nic_mbps) for l in inst.farm.uids),
+        net.processor_link_mbps,
+        net.server_link_mbps,
+        tuple(sorted(net.server_link_overrides.items())),
+        warmup,
+    )
 
 
 @dataclass(frozen=True)
@@ -647,6 +674,9 @@ def _replay_engine(
     )
     records: list[EpochRecord] = []
     current: Allocation | None = None
+    #: Validation runs by :func:`_simulation_key`; each value keeps its
+    #: tree alive, so the tree ``id`` in a key is never reused.
+    sim_memo: dict[tuple, tuple] = {}
     for epoch, (time, label, instance) in enumerate(trace.epochs()):
         rng = derive_seed(trace.seed, "replay", policy.name, epoch)
         try:
@@ -689,16 +719,20 @@ def _replay_engine(
 
         sim_ok = sim_misses = sim_achieved = None
         if validate and report.feasible:
-            from ..simulator import simulate_allocation, sustains_target
+            from .. import simulator
 
             warmup = pipeline_warmup_results(alloc) if sim_warmup else 0
-            sim = simulate_allocation(
-                alloc, n_results=n_results + warmup, kernel=sim_kernel,
-                warmup_results=warmup,
-            )
+            key = _simulation_key(alloc, warmup)
+            if key not in sim_memo:
+                run = simulator.simulate_allocation(
+                    alloc, n_results=n_results + warmup, kernel=sim_kernel,
+                    warmup_results=warmup,
+                )
+                sim_memo[key] = (alloc.instance.tree, run)
+            sim = sim_memo[key][1]
             sim_misses = sim.download_misses
             sim_achieved = sim.achieved_rate
-            sim_ok = sustains_target(sim, instance.rho)
+            sim_ok = simulator.sustains_target(sim, instance.rho)
 
         transition = None
         if sim_transitions and plan is not None and plan.moves:

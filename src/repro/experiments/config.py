@@ -42,7 +42,7 @@ from ..apptree.objects import (
     LOW_FREQUENCY_HZ,
     SMALL_SIZE_RANGE_MB,
 )
-from ..checks import _integer, _is_real, _real
+from ..checks import _at_least, _boolean, _integer, _is_real, _positive, _real
 from ..units import (
     DEFAULT_LINK_BANDWIDTH_MBPS,
     OPS_PER_GHZ,
@@ -120,18 +120,12 @@ class ExperimentConfig:
         # service door, not a 500 from inside the campaign
         for name in ("n_operators", "n_object_types", "n_servers",
                      "n_instances"):
-            if _integer(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
+            _at_least(self, name, 1, _integer)
         _integer(self, "master_seed")
         _real(self, "alpha")
         for name in ("frequency_hz", "server_nic_mbps", "link_mbps",
                      "rho", "ops_per_ghz"):
-            if not _real(self, name) > 0:  # NaN fails too
-                raise ValueError(
-                    f"{name} must be > 0, got {getattr(self, name)}"
-                )
+            _positive(self, name)
         if not 0 <= _real(self, "replication_probability") < 1:
             raise ValueError(
                 f"replication_probability must be in [0, 1), got"
@@ -148,10 +142,7 @@ class ExperimentConfig:
                 f" 0 < low <= high, got {sizes!r}"
             )
         for name in ("fat_nics", "homogeneous"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(
-                    f"{name} must be a bool, got {getattr(self, name)!r}"
-                )
+            _boolean(self, name)
 
     def with_(self, **changes) -> "ExperimentConfig":
         """Functional update (used by sweep definitions)."""

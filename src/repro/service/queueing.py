@@ -11,10 +11,12 @@ are unit-testable with plain pushes and pops:
   others (it just waits for its next turn like everyone else);
 * **FIFO within (tenant, class)** — a tenant's own requests at equal
   priority complete in submission order;
-* **lazy cancellation** — mirroring
-  :class:`repro.simulator.events.EventQueue`, a cancelled ticket in a
-  lane's *interior* stays put as a payload-free stub (deque interior
-  removal is O(n)) and is silently dropped when it reaches the front;
+* **lazy cancellation** — mirroring the keyed heap of
+  :class:`repro.simulator.events.EventQueue` (a cancelled or superseded
+  entry stays in the heap until it surfaces, and ``pop`` drops it in
+  the same pass), a cancelled ticket in a lane's *interior* stays put
+  as a payload-free stub (deque interior removal is O(n)) and is
+  silently dropped when it reaches the front;
   tickets at either lane edge are removed immediately on cancel, and
   live counts never include cancelled tickets either way.
 

@@ -7,14 +7,7 @@ from .engine import (
     SteadyStateSimulator,
     flow_kernel,
 )
-from .events import (
-    ComputeFinished,
-    DownloadLaunch,
-    Event,
-    EventQueue,
-    SourceRelease,
-    TransferFinished,
-)
+from .events import EventQueue
 from .flows import CapacityConstraint, FlowNetwork, FlowSpec, max_min_rates
 from .measure import (
     SUSTAIN_FRACTION,
@@ -26,9 +19,6 @@ from .measure import (
 
 __all__ = [
     "CapacityConstraint",
-    "ComputeFinished",
-    "DownloadLaunch",
-    "Event",
     "EventQueue",
     "FLOW_KERNELS",
     "FlowNetwork",
@@ -36,10 +26,8 @@ __all__ = [
     "InjectedFlow",
     "SUSTAIN_FRACTION",
     "SimulationResult",
-    "SourceRelease",
     "SteadyStateSimulator",
     "ThroughputProbe",
-    "TransferFinished",
     "flow_kernel",
     "max_min_rates",
     "measured_max_throughput",

@@ -57,6 +57,22 @@ Two kernels, producing **bit identical** :class:`SimulationResult`\\ s
 Both kernels reschedule only flows whose *rate actually changed*, so
 they run the same event sequence.
 
+Event core
+----------
+Both kernels share one event loop over
+:class:`~repro.simulator.events.EventQueue`.  An event is a heap entry
+``(when, seq, key, handler, args)`` naming the bound ``_on_*`` handler
+and its arguments; the loop pops it (one prune, one ``heappop``) and
+calls ``handler(*args)``, building no event object.  Transfer
+completions are keyed by their flow, so a rate change supersedes the
+stale completion inside the queue.
+
+A validated replay (:mod:`repro.dynamic.replay`) runs this simulator
+once per distinct platform per replay call: epochs that return to a
+platform already validated in the same call (same tree, ρ, processors,
+assignment, downloads, farm NICs, links and warm-up) reuse its
+:class:`SimulationResult`.
+
 The integration tests drive both directions: feasible allocations must
 achieve the offered rate with zero misses; offering well above the
 analytic maximum must visibly saturate.
@@ -72,13 +88,7 @@ from typing import Iterator, Literal, Mapping
 from ..core.mapping import Allocation
 from ..errors import ModelError
 from ..telemetry import get_registry
-from .events import (
-    ComputeFinished,
-    DownloadLaunch,
-    EventQueue,
-    SourceRelease,
-    TransferFinished,
-)
+from .events import EventQueue
 from .flows import CapacityConstraint, FlowNetwork, FlowSpec, max_min_rates
 
 __all__ = [
@@ -160,7 +170,7 @@ class InjectedFlow:
     cap: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Flow:
     volume_left: float
     constraints: tuple[object, ...]
@@ -302,7 +312,11 @@ class SteadyStateSimulator:
         self.arrivals: dict[int, dict[int, int]] = {
             i: {} for i in self.tree.operator_indices
         }
-        self.queued: set[tuple[int, int]] = set()
+        #: Highest result index queued for computation per operator:
+        #: stream order queues results 1, 2, … contiguously.
+        self.queued: dict[int, int] = {
+            i: 0 for i in self.tree.operator_indices
+        }
         self.root_completions: list[float] = []
         self.download_misses = 0
         self.n_events = 0
@@ -406,14 +420,15 @@ class SteadyStateSimulator:
         """Adopt new rates and (re)schedule completions for exactly the
         flows whose rate moved; everyone else's scheduled event stands."""
         now = self.queue.now
-        for key in sorted(changed):
+        push = self.queue.push
+        on_finished = self._on_transfer_finished
+        for key in changed if len(changed) == 1 else sorted(changed):
             f = self.flows[key]
             f.rate = changed[key]
             if f.volume_left <= _EPS:
-                self.queue.push(now, TransferFinished(key), key=key)
+                push(now, on_finished, key, key=key)
             elif f.rate > _EPS:
-                eta = now + f.volume_left / f.rate
-                self.queue.push(eta, TransferFinished(key), key=key)
+                push(now + f.volume_left / f.rate, on_finished, key, key=key)
             else:
                 # stalled: no completion until a reallocation revives it
                 self.queue.cancel(key)
@@ -445,7 +460,9 @@ class SteadyStateSimulator:
         if key not in changed and f.volume_left <= _EPS:
             # zero-volume transfer at rate 0 (e.g. a δ=0 glue edge):
             # complete immediately, there is nothing to drain.
-            self.queue.push(self.queue.now, TransferFinished(key), key=key)
+            self.queue.push(
+                self.queue.now, self._on_transfer_finished, key, key=key
+            )
 
     def _finish_flow(self, key: object) -> _Flow:
         self._settle()
@@ -491,7 +508,7 @@ class SteadyStateSimulator:
             flow = self.flows[spec.key]
             if spec.key not in changed and flow.volume_left <= _EPS:
                 self.queue.push(
-                    self.queue.now, TransferFinished(spec.key),
+                    self.queue.now, self._on_transfer_finished, spec.key,
                     key=spec.key,
                 )
 
@@ -501,7 +518,7 @@ class SteadyStateSimulator:
     def _maybe_enqueue(self, op: int, t: int) -> None:
         """Queue (op, t) for computation when its inputs are complete and
         its predecessor result is done (stream order)."""
-        if (op, t) in self.queued or self.computed[op] != t - 1:
+        if self.queued[op] >= t or self.computed[op] != t - 1:
             return
         n_children = self._n_children[op]
         if n_children:
@@ -510,7 +527,7 @@ class SteadyStateSimulator:
         else:
             if self.released.get(op, 0) < t:
                 return
-        self.queued.add((op, t))
+        self.queued[op] = t
         u = self._op_uid[op]
         self.ready[u].append((op, t))
         self._maybe_start_cpu(u)
@@ -522,7 +539,9 @@ class SteadyStateSimulator:
         self.busy[u] = True
         duration = self._op_duration[op]
         self.cpu_busy[u] += duration
-        self.queue.push(self.queue.now + duration, ComputeFinished(u, op, t))
+        self.queue.push(
+            self.queue.now + duration, self._on_compute_finished, u, op, t
+        )
 
     def _deliver(self, op: int, t: int) -> None:
         """Result ``t`` of ``op`` reached its parent (or the outside)."""
@@ -536,33 +555,39 @@ class SteadyStateSimulator:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _on_source_release(self, ev: SourceRelease) -> None:
-        self.released[ev.operator] = ev.t
-        self._maybe_enqueue(ev.operator, ev.t)
+    def _on_source_release(self, op: int, t: int) -> None:
+        """Source ``op`` may begin computing result ``t`` (open-loop
+        arrival at the offered rate)."""
+        self.released[op] = t
+        self._maybe_enqueue(op, t)
 
-    def _on_compute_finished(self, ev: ComputeFinished) -> None:
-        self.computed[ev.operator] = ev.t
-        self.busy[ev.uid] = False
-        self._maybe_start_cpu(ev.uid)
+    def _on_compute_finished(self, uid: int, op: int, t: int) -> None:
+        """Processor ``uid`` finished computing result ``t`` of ``op``."""
+        self.computed[op] = t
+        self.busy[uid] = False
+        self._maybe_start_cpu(uid)
         # output travels to the parent
-        parent = self._parent_of[ev.operator]
-        if parent is not None and self._op_uid[parent] != ev.uid:
+        parent = self._parent_of[op]
+        if parent is not None and self._op_uid[parent] != uid:
             v = self._op_uid[parent]
             self._start_flow(
-                key=("edge", ev.operator, ev.t),
-                volume=self.tree[ev.operator].output_mb,
-                constraints=self._edge_constraints(ev.uid, v),
-                cap=self.rho * self.tree[ev.operator].output_mb,
+                key=("edge", op, t),
+                volume=self.tree[op].output_mb,
+                constraints=self._edge_constraints(uid, v),
+                cap=self.rho * self.tree[op].output_mb,
                 kind="edge",
-                payload=(ev.operator, ev.t),
+                payload=(op, t),
             )
         else:
-            self._deliver(ev.operator, ev.t)
+            self._deliver(op, t)
         # the next result of this operator may already be waiting
-        self._maybe_enqueue(ev.operator, ev.t + 1)
+        self._maybe_enqueue(op, t + 1)
 
-    def _on_transfer_finished(self, ev: TransferFinished) -> None:
-        key = ev.flow_key
+    def _on_transfer_finished(self, key: object) -> None:
+        """The fluid flow under ``key`` drained.  Its completion is
+        scheduled under the flow key, so a reallocation that changes
+        the flow's rate supersedes the stale completion in the queue
+        itself."""
         flow = self.flows.get(key)
         if flow is None:
             return  # defensive: the flow was already closed
@@ -572,7 +597,7 @@ class SteadyStateSimulator:
             # instant: drain the remainder (superseding this event's key)
             if flow.rate > _EPS:
                 eta = self.queue.now + flow.volume_left / flow.rate
-                self.queue.push(eta, TransferFinished(key), key=key)
+                self.queue.push(eta, self._on_transfer_finished, key, key=key)
             return
         flow = self._finish_flow(key)
         if flow.kind == "edge":
@@ -584,9 +609,11 @@ class SteadyStateSimulator:
         # download completions need no action: freshness bookkeeping is
         # done at launch time.
 
-    def _on_download_launch(self, ev: DownloadLaunch) -> None:
-        key = ("dl", ev.uid, ev.k)
-        obj = self.tree.catalog[ev.k]
+    def _on_download_launch(self, uid: int, k: int, period: int) -> None:
+        """Periodic basic-object refresh: start download number
+        ``period`` of object ``k`` to processor ``uid``."""
+        key = ("dl", uid, k)
+        obj = self.tree.catalog[k]
         if key in self.flows:
             # A refresh at exactly its reserved rate finishes exactly at
             # the deadline; settle and absorb the floating-point tie.
@@ -599,20 +626,19 @@ class SteadyStateSimulator:
             # skip this period (the stale copy stays in use).
             self.download_misses += 1
         else:
-            l = self.alloc.downloads[(ev.uid, ev.k)]
+            l = self.alloc.downloads[(uid, k)]
             self._start_flow(
                 key=key,
                 volume=obj.size_mb,
-                constraints=self._download_constraints(l, ev.uid),
+                constraints=self._download_constraints(l, uid),
                 cap=obj.rate_mbps,
                 kind="download",
-                payload=(ev.uid, ev.k, ev.period_index),
+                payload=(uid, k, period),
             )
         # chain the next period
-        nxt = ev.period_index + 1
+        nxt = period + 1
         self.queue.push(
-            nxt / obj.frequency_hz,
-            DownloadLaunch(ev.uid, ev.k, nxt),
+            nxt / obj.frequency_hz, self._on_download_launch, uid, k, nxt
         )
 
     # ------------------------------------------------------------------
@@ -621,50 +647,49 @@ class SteadyStateSimulator:
     def run(self) -> SimulationResult:
         self._last_settle = 0.0
         # periodic source releases (open loop at the offered rate)
+        queue = self.queue
         for op in self.source_ops:
             for t in range(1, self.n_results + 1):
-                self.queue.push((t - 1) / self.rho, SourceRelease(op, t))
+                queue.push((t - 1) / self.rho, self._on_source_release, op, t)
         # periodic downloads
         for (u, k) in self.alloc.downloads:
-            self.queue.push(0.0, DownloadLaunch(u, k, 0))
+            queue.push(0.0, self._on_download_launch, u, k, 0)
         # exogenous drain / state-transfer flows, batched at t = 0
         self._start_injected()
 
-        # exact-type dispatch (events are final classes): one dict hit
-        # replaces the isinstance chain on every dispatched event
-        handlers = {
-            SourceRelease: self._on_source_release,
-            ComputeFinished: self._on_compute_finished,
-            TransferFinished: self._on_transfer_finished,
-            DownloadLaunch: self._on_download_launch,
-        }
-        queue = self.queue
+        pop = queue.pop
+        time_limit = self.time_limit
+        max_events = self.max_events
+        n_results = self.n_results
+        injected_left = self._injected_left
         root_completions = self.root_completions
+        n_events = 0
         saturated = False
-        while True:
-            # a run with injected transfers keeps going until they all
-            # drain (or the horizon trips), so the transition simulator
-            # always observes the full drain time
-            if (
-                len(root_completions) >= self.n_results
-                and not self._injected_left
-            ):
+        # a run with injected transfers keeps going until they all
+        # drain (or the horizon trips), so the transition simulator
+        # always observes the full drain time
+        while len(root_completions) < n_results or injected_left:
+            if n_events >= max_events:
+                # the event budget is spent: a pending event saturates
+                # the run, and a due one counts as the event that
+                # tripped the budget
+                when = queue.peek_time()
+                if when is not None:
+                    saturated = True
+                    if when <= time_limit:
+                        n_events += 1
                 break
-            when = queue.peek_time()
-            if when is None:  # queue drained (peek prunes, like bool())
+            entry = pop(time_limit)
+            if entry is None:
+                # drained, or the next live event is past the horizon
+                saturated = bool(queue)
                 break
-            if when > self.time_limit:
-                saturated = True
-                break
-            self.n_events += 1
-            if self.n_events > self.max_events:
-                saturated = True
-                break
-            _, event = queue.pop()
-            handler = handlers.get(type(event))
-            if handler is None:  # pragma: no cover - defensive
-                raise ModelError(f"unknown event {event!r}")
-            handler(event)
+            n_events += 1
+            entry[3](*entry[4])
+        self.n_events = n_events
+        # the leftover entries hold bound handlers: drop them, or the
+        # simulator stays alive in a cycle through its own queue
+        queue.clear()
 
         for f in self.flows.values():  # account still-active transfers
             self._flush_transferred(f)

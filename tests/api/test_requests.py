@@ -63,6 +63,21 @@ class TestSolveRequest:
         with pytest.raises(ValueError, match="exactly one"):
             SolveRequest(instance=micro_instance, spec=InstanceSpec())
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("seed", 1.5, TypeError),
+        ("seed", "x", TypeError),
+        ("seed", -1, ValueError),
+        ("bid", "x", TypeError),
+        ("bid", math.nan, ValueError),
+        ("bid", math.inf, ValueError),
+        ("bid", -1.0, ValueError),
+        ("time_budget_s", "x", TypeError),
+        ("time_budget_s", math.nan, ValueError),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            SolveRequest(spec=InstanceSpec(), **{field: value})
+
     def test_spec_passed_as_instance_is_a_type_error(self):
         with pytest.raises(TypeError, match="spec="):
             SolveRequest(instance=InstanceSpec())
@@ -195,6 +210,41 @@ class TestReplayRequest:
 
         trace = make_trace("ramp", seed=3)
         assert ReplayRequest(trace=trace).resolve_trace() is trace
+
+    def test_every_trace_family_accepted(self):
+        """The request checks names against the factory table itself;
+        every family the CLI presents must pass it."""
+        from repro.dynamic.traces import TRACE_FACTORIES, TRACE_ORDER
+
+        assert set(TRACE_ORDER) == set(TRACE_FACTORIES)
+        for name in TRACE_ORDER:
+            assert ReplayRequest(trace=name).trace == name
+
+    def test_unknown_trace_fails_fast_with_suggestion(self):
+        with pytest.raises(ValueError) as exc:
+            ReplayRequest(trace="chrun")
+        assert "unknown trace 'chrun'; did you mean 'churn'?" in str(
+            exc.value
+        )
+        with pytest.raises(TypeError, match="trace must be"):
+            ReplayRequest(trace=3)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("seed", 1.5, TypeError),
+        ("n_results", 0, ValueError),
+        ("n_results", True, TypeError),
+        ("migration_cost", -5, ValueError),
+        ("migration_cost_per_mb", math.nan, ValueError),
+        ("salvage_fraction", "x", TypeError),
+        ("salvage_fraction", math.nan, ValueError),
+        ("salvage_fraction", 1.5, ValueError),
+        ("validate", 1, TypeError),
+        ("sim_warmup", "yes", TypeError),
+        ("sim_transitions", None, TypeError),
+    ])
+    def test_bad_field_rejected_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            ReplayRequest(trace="ramp", **{field: value})
 
 
 class TestSweepRequest:

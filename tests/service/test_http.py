@@ -37,6 +37,7 @@ def server():
     asyncio.run_coroutine_threadsafe(http_server.aclose(), loop).result(30)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=10)
+    loop.close()
 
 
 @pytest.fixture()
@@ -336,6 +337,76 @@ class TestSpecAtTheDoor:
         assert after == before
 
 
+class TestRequestFieldsAtTheDoor:
+    """A malformed solve or replay field is a 400 that names the field,
+    raised by the request's constructor at wire decode: no rate-limit
+    token, queue slot or admission fee moves."""
+
+    SOLVE = [
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", "x", "seed must be an integer"),
+        ("bid", "x", "bid must be a number"),
+        ("bid", float("nan"), "bid must be finite"),
+        ("time_budget_s", "x", "time_budget_s must be a number"),
+    ]
+    REPLAY = [
+        ("seed", 1.5, "seed must be an integer"),
+        ("trace", "nope", "unknown trace 'nope'"),
+        ("trace", "chrun", "did you mean 'churn'"),
+        ("n_results", -1, "n_results must be >= 1"),
+        ("n_results", "x", "n_results must be an integer"),
+        ("migration_cost", -5, "migration_cost must be >= 0"),
+        ("salvage_fraction", "x", "salvage_fraction must be a number"),
+        ("migration_cost_per_mb", float("inf"),
+         "migration_cost_per_mb must be finite"),
+        ("validate", "yes", "validate must be a bool"),
+        ("sim_warmup", 1, "sim_warmup must be a bool"),
+        ("sim_transitions", "no", "sim_transitions must be a bool"),
+    ]
+
+    @staticmethod
+    def body(request, field, value) -> bytes:
+        wire = request_to_wire(request)
+        wire[field] = value
+        return json.dumps({"tenant": "payer", "request": wire}).encode()
+
+    def dispatch(self, raw: bytes):
+        async def main():
+            server = ServiceHTTPServer(TestSpecAtTheDoor.service())
+            await server.service.start()
+            try:
+                ledger = TestSpecAtTheDoor.ledger
+                before = ledger(server.service)
+                response = await server.dispatch("POST", "/v1/submit", raw)
+                return response, before, ledger(server.service)
+            finally:
+                await server.aclose()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("field, value, message", SOLVE)
+    def test_solve_field(self, field, value, message):
+        request = SolveRequest(
+            spec=InstanceSpec(n_operators=6, seed=1), seed=1
+        )
+        (status, payload), before, after = self.dispatch(
+            self.body(request, field, value)
+        )
+        assert status == 400
+        assert message in payload["error"]
+        assert after == before
+
+    @pytest.mark.parametrize("field, value, message", REPLAY)
+    def test_replay_field(self, field, value, message):
+        request = ReplayRequest(trace="ramp", policy="static", n_results=5)
+        (status, payload), before, after = self.dispatch(
+            self.body(request, field, value)
+        )
+        assert status == 400
+        assert message in payload["error"]
+        assert after == before
+
+
 class TestReadTimeout:
     def test_stalled_client_gets_408_and_frees_the_handler(self):
         """A connection that never finishes sending its request must
@@ -363,6 +434,7 @@ class TestReadTimeout:
             ).result(30)
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=10)
+            loop.close()
 
 
 def _read_response(stream) -> tuple[int, dict, bytes]:
@@ -428,6 +500,7 @@ def hosted():
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=10)
     assert not thread.is_alive()
+    loop.close()
 
 
 class TestKeepAlive:

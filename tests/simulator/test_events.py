@@ -2,80 +2,97 @@
 
 import pytest
 
-from repro.simulator.events import (
-    ComputeFinished,
-    DownloadLaunch,
-    EventQueue,
-    SourceRelease,
-    TransferFinished,
-)
+from repro.simulator.events import EventQueue
+
+
+def release(op, t):
+    return ("release", op, t)
+
+
+def finished(key):
+    return ("finished", key)
+
+
+def dispatch(entry):
+    """Run a popped ``(when, seq, key, handler, args)`` entry."""
+    when, _seq, _key, handler, args = entry
+    return when, handler(*args)
 
 
 class TestEventQueue:
     def test_time_ordering(self):
         q = EventQueue()
-        q.push(3.0, SourceRelease(0, 1))
-        q.push(1.0, SourceRelease(1, 1))
-        q.push(2.0, SourceRelease(2, 1))
+        q.push(3.0, release, 0, 1)
+        q.push(1.0, release, 1, 1)
+        q.push(2.0, release, 2, 1)
         times = [q.pop()[0] for _ in range(3)]
         assert times == [1.0, 2.0, 3.0]
 
     def test_fifo_tie_break(self):
         q = EventQueue()
-        q.push(1.0, SourceRelease(7, 1))
-        q.push(1.0, SourceRelease(8, 1))
-        _, first = q.pop()
-        _, second = q.pop()
-        assert first.operator == 7 and second.operator == 8
+        q.push(1.0, release, 7, 1)
+        q.push(1.0, release, 8, 1)
+        _, first = dispatch(q.pop())
+        _, second = dispatch(q.pop())
+        assert first[1] == 7 and second[1] == 8
 
     def test_clock_advances(self):
         q = EventQueue()
-        q.push(5.0, DownloadLaunch(0, 0, 0))
+        q.push(5.0, release, 0, 1)
         assert q.now == 0.0
         q.pop()
         assert q.now == 5.0
 
     def test_no_scheduling_in_the_past(self):
         q = EventQueue()
-        q.push(5.0, DownloadLaunch(0, 0, 0))
+        q.push(5.0, release, 0, 1)
         q.pop()
         with pytest.raises(ValueError):
-            q.push(4.0, DownloadLaunch(0, 0, 1))
+            q.push(4.0, release, 0, 2)
 
     def test_len_and_bool(self):
         q = EventQueue()
         assert not q and len(q) == 0
-        q.push(1.0, TransferFinished(("k", 0)))
+        q.push(1.0, finished, ("k", 0))
         assert q and len(q) == 1
 
     def test_peek_time(self):
         q = EventQueue()
         assert q.peek_time() is None
-        q.push(2.5, ComputeFinished(0, 1, 2))
+        q.push(2.5, release, 1, 2)
         assert q.peek_time() == 2.5
         assert len(q) == 1  # peek does not pop
+
+    def test_pop_until_leaves_later_events(self):
+        q = EventQueue()
+        assert q.pop() is None
+        q.push(2.0, release, 0, 1)
+        assert q.pop(until=1.0) is None
+        assert q.now == 0.0 and len(q) == 1  # nothing popped
+        assert dispatch(q.pop(until=2.0)) == (2.0, ("release", 0, 1))
+        assert q.now == 2.0 and not q
 
 
 class TestLazyCancellation:
     def test_superseded_event_never_pops(self):
         q = EventQueue()
-        q.push(5.0, TransferFinished("f"), key="f")
-        q.push(2.0, TransferFinished("f"), key="f")  # supersedes
+        q.push(5.0, finished, "f", key="f")
+        q.push(2.0, finished, "f", key="f")  # supersedes
         assert len(q) == 1
-        when, ev = q.pop()
-        assert when == 2.0 and ev.flow_key == "f"
+        when, ev = dispatch(q.pop())
+        assert when == 2.0 and ev == ("finished", "f")
         assert not q  # the dead 5.0 entry is gone, not pending
 
     def test_cancel_drops_event(self):
         q = EventQueue()
-        q.push(1.0, TransferFinished("f"), key="f")
-        q.push(2.0, SourceRelease(0, 1))
+        q.push(1.0, finished, "f", key="f")
+        q.push(2.0, release, 0, 1)
         assert q.cancel("f")
         assert not q.cancel("f")  # idempotent
         assert len(q) == 1
         assert q.peek_time() == 2.0  # dead head pruned by peek
-        _, ev = q.pop()
-        assert isinstance(ev, SourceRelease)
+        _, ev = dispatch(q.pop())
+        assert ev == ("release", 0, 1)
 
     def test_cancel_unknown_key_is_noop(self):
         q = EventQueue()
@@ -83,25 +100,26 @@ class TestLazyCancellation:
 
     def test_key_reusable_after_pop(self):
         q = EventQueue()
-        q.push(1.0, TransferFinished("f"), key="f")
+        q.push(1.0, finished, "f", key="f")
         q.pop()
-        q.push(2.0, TransferFinished("f"), key="f")
+        q.push(2.0, finished, "f", key="f")
         assert len(q) == 1
         assert q.pop()[0] == 2.0
 
     def test_len_and_bool_count_live_only(self):
         q = EventQueue()
-        q.push(1.0, TransferFinished("a"), key="a")
-        q.push(2.0, TransferFinished("b"), key="b")
+        q.push(1.0, finished, "a", key="a")
+        q.push(2.0, finished, "b", key="b")
         q.cancel("a")
         q.cancel("b")
         assert len(q) == 0 and not q
         assert q.peek_time() is None
+        assert q.pop() is None
 
     def test_unkeyed_events_unaffected(self):
         q = EventQueue()
-        q.push(1.0, SourceRelease(0, 1))
-        q.push(1.0, SourceRelease(0, 2))
+        q.push(1.0, release, 0, 1)
+        q.push(1.0, release, 0, 2)
         assert len(q) == 2  # no supersede without a key
 
 
@@ -112,51 +130,37 @@ class TestCancelRescheduleCycles:
 
     def test_cancel_then_reschedule_twice_dispatches_only_the_last(self):
         q = EventQueue()
-        q.push(5.0, TransferFinished(("f", "v1")), key="f")
+        q.push(5.0, finished, ("f", "v1"), key="f")
         # cycle 1: cancel, reschedule
         assert q.cancel("f")
-        q.push(3.0, TransferFinished(("f", "v2")), key="f")
+        q.push(3.0, finished, ("f", "v2"), key="f")
         # cycle 2: cancel, reschedule again
         assert q.cancel("f")
-        q.push(4.0, TransferFinished(("f", "v3")), key="f")
+        q.push(4.0, finished, ("f", "v3"), key="f")
         assert len(q) == 1  # three heap entries, one live
-        when, event = q.pop()
-        assert (when, event.flow_key) == (4.0, ("f", "v3"))
+        assert dispatch(q.pop()) == (4.0, ("finished", ("f", "v3")))
         assert not q  # both dead entries pruned silently, never popped
 
     def test_supersede_then_cancel_then_reschedule(self):
         q = EventQueue()
-        q.push(5.0, TransferFinished(("f", "v1")), key="f")
-        q.push(2.0, TransferFinished(("f", "v2")), key="f")  # supersede
+        q.push(5.0, finished, ("f", "v1"), key="f")
+        q.push(2.0, finished, ("f", "v2"), key="f")  # supersede
         assert q.cancel("f")
         assert not q
-        q.push(6.0, TransferFinished(("f", "v3")), key="f")
+        q.push(6.0, finished, ("f", "v3"), key="f")
         assert len(q) == 1
         drained = []
         while q:
-            drained.append(q.pop())
-        assert drained == [(6.0, TransferFinished(("f", "v3")))]
+            drained.append(dispatch(q.pop()))
+        assert drained == [(6.0, ("finished", ("f", "v3")))]
 
     def test_interleaved_keys_keep_independent_cycles(self):
         q = EventQueue()
-        q.push(1.0, TransferFinished(("a", 1)), key="a")
-        q.push(2.0, TransferFinished(("b", 1)), key="b")
+        q.push(1.0, finished, ("a", 1), key="a")
+        q.push(2.0, finished, ("b", 1), key="b")
         q.cancel("a")
-        q.push(3.0, TransferFinished(("a", 2)), key="a")
+        q.push(3.0, finished, ("a", 2), key="a")
         q.cancel("b")
-        q.push(1.5, TransferFinished(("b", 2)), key="b")
-        order = [q.pop()[1].flow_key for _ in range(2)]
+        q.push(1.5, finished, ("b", 2), key="b")
+        order = [dispatch(q.pop())[1][1] for _ in range(2)]
         assert order == [("b", 2), ("a", 2)]
-
-
-class TestEventTypes:
-    def test_events_are_frozen(self):
-        ev = SourceRelease(1, 2)
-        with pytest.raises(AttributeError):
-            ev.t = 5
-
-    def test_fields(self):
-        ev = ComputeFinished(uid=3, operator=4, t=9)
-        assert (ev.uid, ev.operator, ev.t) == (3, 4, 9)
-        dl = DownloadLaunch(uid=1, k=2, period_index=3)
-        assert (dl.uid, dl.k, dl.period_index) == (1, 2, 3)
