@@ -290,7 +290,8 @@ def regenerate():
         # interpretable if the artifact says what ran where
         "cpu_count": os.cpu_count(),
         "backend": "serial",
-        "default_kernel": "warm",
+        # the kernel a simulation runs when none is named, read from one
+        "default_kernel": simulate_allocation(alloc, n_results=1).kernel,
         "sim_warmup": True,
         "event_rates": event_rates,
         "validated_replays": race,

@@ -42,10 +42,10 @@ import os
 import pathlib
 import time
 
-from repro.api import ReplayRequest, replay
+from repro.api import ReplayRequest, get_executor
 from repro.experiments import migration_scale_sweep
 
-from conftest import SEED, write_artefact
+from conftest import SEED, observed_backend, replay_observed, write_artefact
 
 BENCH_JSON = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -76,9 +76,11 @@ def _race_request(kernel: str) -> ReplayRequest:
 
 
 def _timed_race(kernel: str):
+    """The race replay, its wall time, and :func:`replay_observed`'s
+    record of what ran it."""
     start = time.perf_counter()
-    result = replay(_race_request(kernel))
-    return result, time.perf_counter() - start
+    observed = replay_observed(_race_request(kernel))
+    return observed[0], time.perf_counter() - start, observed
 
 
 def _transition_rows(result) -> list[dict]:
@@ -127,8 +129,8 @@ def regenerate():
     }
 
     # -- transition kernel race -----------------------------------------
-    r_warm, t_warm = _timed_race("warm")
-    r_naive, t_naive = _timed_race("naive")
+    r_warm, t_warm, warm_ran = _timed_race("warm")
+    r_naive, t_naive, naive_ran = _timed_race("naive")
     identical = r_warm.to_json() == r_naive.to_json()
     assert identical, (
         "transition-simulated replay diverged between the warm kernel"
@@ -158,9 +160,11 @@ def regenerate():
     }
     return {
         "seed": SEED,
-        # provenance: the race is single-process on this many cores
+        # provenance: the race is single-process on this many cores,
+        # and the backend is read from the pids that ran its replays
         "cpu_count": os.cpu_count(),
-        "backend": "serial",
+        "backend": observed_backend(get_executor(None),
+                                    [warm_ran, naive_ran]),
         "sweep": {
             "trace": SWEEP_TRACE,
             "scales": list(SWEEP_SCALES),
@@ -242,8 +246,8 @@ def main(quick: bool) -> int:
     race plus the clean-epoch-dip check, divergence always fatal, and
     the same-process warm/naive ratio."""
     if quick:
-        r_warm, t_warm = _timed_race("warm")
-        r_naive, t_naive = _timed_race("naive")
+        r_warm, t_warm, _ = _timed_race("warm")
+        r_naive, t_naive, _ = _timed_race("naive")
         identical = r_warm.to_json() == r_naive.to_json()
         speedup = t_naive / t_warm if t_warm else float("inf")
         transitions = _transition_rows(r_warm)

@@ -21,8 +21,10 @@ the router with the unchanged :class:`HttpServiceClient`, and asserts:
   router;
 * the merged ``/metrics`` scrape parses like a scraper would and every
   shard's samples appear under its ``shard="..."`` label;
-* the merged ``/stats`` totals equal the merged ``/metrics`` request
-  and rejection counters summed across shards — the JSON and the
+* a priced tenant registered over ``/v1/tenants`` pays its admission
+  fees, and the merged ``/stats`` ``totals.spent`` is their sum;
+* the merged ``/stats`` totals equal the merged ``/metrics`` request,
+  rejection and spend counters summed across shards — the JSON and the
   scrape of a fleet are one registry and can never disagree;
 * a shard restarted on the same port while the router holds pooled
   connections to it serves the next submit of its tenant (200);
@@ -54,6 +56,8 @@ from repro.service import (  # noqa: E402
 )
 
 TENANTS = ("acme", "globex", "initech", "umbrella")
+#: A priced tenant: its admission fee, and the seeds it submits.
+PAYER, PRICE, PAYER_SEEDS = "payer", 0.25, (61, 62, 63)
 #: Wire-level fields that must match a direct solve exactly.
 COMPARED_FIELDS = (
     "ok", "cost", "n_processors", "heuristic", "server_strategy",
@@ -220,6 +224,17 @@ def main() -> int:
             print(f"FAIL: async result diverged: {got} != {want}")
             return 1
 
+        # a priced tenant: every admission fee is spend
+        client.register_tenant(PAYER, budget=100.0, admission_price=PRICE)
+        for seed in PAYER_SEEDS:
+            client.submit(
+                SolveRequest(
+                    spec=InstanceSpec(n_operators=8, alpha=1.2, seed=seed),
+                    seed=seed, label=f"{PAYER}-{seed}",
+                ),
+                tenant=PAYER,
+            )
+
         # merged /stats: router identity, totals, tenants, per-shard
         stats = client.stats()
         service = stats["service"]
@@ -229,12 +244,16 @@ def main() -> int:
         if service.get("shards") != 2:
             print(f"FAIL: /stats shards is {service.get('shards')!r}")
             return 1
-        expected = len(batch) + 1
+        expected = len(batch) + 1 + len(PAYER_SEEDS)
         if stats["totals"]["completed"] != expected:
             print(
                 f"FAIL: {stats['totals']['completed']}/{expected}"
                 f" completed in merged /stats"
             )
+            return 1
+        spent = stats["totals"].get("spent")
+        if spent != PRICE * len(PAYER_SEEDS):
+            print(f"FAIL: merged /stats spent is {spent!r}")
             return 1
         for tenant in TENANTS:
             if tenant not in stats["tenants"]:
@@ -291,10 +310,13 @@ def main() -> int:
         scraped: dict[str, float] = {}
         for family, labels, value in re.findall(
             r"^(repro_service_requests_total|repro_service_rejections_total"
-            r"|repro_router_rejections_total)\{([^}]*)\} (\S+)$",
+            r"|repro_router_rejections_total|repro_service_spend_total)"
+            r"\{([^}]*)\} (\S+)$",
             metrics_text, re.M,
         ):
-            if family == "repro_service_requests_total":
+            if family == "repro_service_spend_total":
+                key = "spent"
+            elif family == "repro_service_requests_total":
                 key = re.search(r'outcome="([^"]*)"', labels).group(1)
             elif 'stage="preempted"' in labels:
                 continue  # a preempted request was admitted
@@ -302,7 +324,7 @@ def main() -> int:
                 key = "rejected"
             scraped[key] = scraped.get(key, 0) + float(value)
         stats = client.stats()
-        for key in sorted(set(scraped) | (set(stats["totals"]) - {"spent"})):
+        for key in sorted(set(scraped) | set(stats["totals"])):
             if stats["totals"].get(key, 0) != scraped.get(key, 0):
                 print(
                     f"FAIL: /stats totals[{key!r}] ="

@@ -89,9 +89,8 @@ class InstanceSpec:
         for name in ("n_operators", "n_object_types"):
             _at_least(self, name, 1, _integer)
         _integer(self, "seed")
-        if _real(self, "alpha") < 0:  # NaN passes: it fails at downgrade
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        _positive(self, "rho")
+        _at_least(self, "alpha", 0, _finite)
+        _positive(self, "rho", _finite)
 
     def build(self) -> ProblemInstance:
         from ..experiments.config import ExperimentConfig

@@ -57,10 +57,10 @@ def _at_least(obj, name: str, low, check=_real):
     return value
 
 
-def _positive(obj, name: str):
-    """A real field's value; ``ValueError`` unless it is ``> 0`` (NaN
-    fails)."""
-    value = _real(obj, name)
+def _positive(obj, name: str, check=_real):
+    """A field's value as ``check`` reads it; ``ValueError`` unless it
+    is ``> 0`` (NaN fails)."""
+    value = check(obj, name)
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return value

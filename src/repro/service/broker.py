@@ -35,9 +35,14 @@ concurrently and schedules them onto the existing executor backends:
 Observability: each service owns a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (:attr:`metrics`).
 Every count, latency and level is recorded there exactly once, at the
-site where it happens; ``/stats`` (:meth:`AllocationService.snapshot`),
-``/metrics`` and the shard-control ``/v1/shard/metrics`` export a
-router folds into its fleet registry are read-only views over it.
+site where it happens — money too: each charge and credit the ledger
+actually moved bumps the tenant's ``repro_service_spend_total`` or
+``repro_service_earnings_total``.  ``/stats``
+(:meth:`AllocationService.snapshot`), ``/metrics`` and the
+shard-control ``/v1/shard/metrics`` answer a router folds into its
+fleet registry are read-only views over it, and :func:`stats_totals`
+reads the ``/stats`` totals out of a service's registry and a fleet's
+alike.
 
 Determinism: the service adds no entropy.  A seeded request produces
 the *same* :class:`~repro.api.requests.SolveResult` (allocation,
@@ -56,7 +61,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..api.executors import (
     Executor,
@@ -81,6 +86,7 @@ __all__ = [
     "Ticket",
     "execute_request",
     "request_cache_key",
+    "stats_totals",
 ]
 
 _log = get_logger("service")
@@ -107,6 +113,58 @@ def _rejection(tenant: str, stage: str, message: str,
             message=message,
             detail=detail,
         )
+    )
+
+
+def stats_totals(
+    registry: MetricsRegistry, tenants: "Sequence[tuple[str, ...]]"
+) -> "tuple[dict, dict, dict, dict | None]":
+    """``/stats``'s ``totals``, unattributed rejections by stage, cache
+    ``hits``/``misses`` and queue-wait summary, read from one service's
+    registry or from a router's fleet registry (the same families under
+    a leading ``shard`` label, plus ``repro_router_rejections_total``).
+    A sample's last label is its outcome, stage or result, and the one
+    before it its tenant.  ``tenants`` are the tenants' label values in
+    registration order (shard by shard in a fleet): ``spent`` and the
+    queue-wait window are summed over them in that order."""
+    def counts(name: str) -> dict:
+        family = registry.get(name)
+        return family.totals() if family is not None else {}
+
+    totals = dict.fromkeys(_OUTCOMES + ("rejected", "preempted"), 0)
+    for key, n in counts("repro_service_requests_total").items():
+        totals[key[-1]] += n
+    unattributed: dict[str, int] = {}
+    for key, n in (*counts("repro_service_rejections_total").items(),
+                   *counts("repro_router_rejections_total").items()):
+        # preemption victims were admitted, not turned away at the door
+        if key[-1] != "preempted":
+            totals["rejected"] += n
+            if len(key) < 2 or not key[-2]:
+                unattributed[key[-1]] = unattributed.get(key[-1], 0) + n
+    # economy totals only appear once money moved — pre-market /stats
+    # payloads stay byte-identical
+    if not totals["preempted"]:
+        del totals["preempted"]
+    spend = counts("repro_service_spend_total")
+    spent = sum(spend.get(key, 0) for key in tenants)
+    if spent:
+        totals["spent"] = round(spent, 6)
+    cache = {"hit": 0, "miss": 0}
+    for key, n in counts("repro_service_cache_requests_total").items():
+        cache[key[-1]] += n
+    waits = registry.get("repro_service_queue_wait_seconds")
+    waits = waits.children() if waits is not None else {}
+    window: list[float] = []
+    waited = 0
+    for key in tenants:
+        if key in waits:
+            window.extend(waits[key].values)
+            waited += waits[key].count
+    return (
+        totals, dict(sorted(unattributed.items())),
+        {"hits": cache["hit"], "misses": cache["miss"]},
+        summarize(window, waited),
     )
 
 
@@ -275,6 +333,14 @@ class AllocationService:
             "Bid-priced preemptions executed, by bidding tenant.",
             ("tenant",),
         )
+        self._spend = self.metrics.counter(
+            "repro_service_spend_total",
+            "Money charged to each tenant's account.", ("tenant",),
+        )
+        self._earnings = self.metrics.counter(
+            "repro_service_earnings_total",
+            "Money credited to each tenant's account.", ("tenant",),
+        )
         self._queue_wait = self.metrics.histogram(
             "repro_service_queue_wait_seconds",
             "Queue wait per dispatched request.",
@@ -431,6 +497,7 @@ class AllocationService:
             bid, "preemption-credit",
             detail=f"evicted by {by} (ticket #{victim_ticket.id})",
         )
+        self._earnings.labels(tenant=victim_state.name).inc(float(bid))
         self._tickets.pop(victim_ticket.id, None)
         self._count(victim_ticket.tenant, "preempted")
         victim_ticket.future.set_exception(
@@ -459,11 +526,17 @@ class AllocationService:
         if state is None:
             return
         self._preemptions.labels(tenant=tenant).inc()
-        state.ensure_account().charge(
-            bid, "preemption-bid",
-            detail=f"evicted {victim}"
-                   f" (ticket #{victim_ticket})",
+        self._charge(
+            state, bid, "preemption-bid",
+            f"evicted {victim} (ticket #{victim_ticket})",
         )
+
+    def _charge(self, state: TenantState, amount: float, kind: str,
+                detail: str = "") -> None:
+        """Debit the tenant's account; the spend counter records only
+        money the ledger moved (a charge it cannot cover moves none)."""
+        if state.ensure_account().charge(amount, kind, detail):
+            self._spend.labels(tenant=state.name).inc(float(amount))
 
     def _try_preempt(self, state: TenantState, bid: float | None) -> bool:
         """During overload, a positive ``bid`` from a higher SLA tier
@@ -558,7 +631,7 @@ class AllocationService:
         if price > 0:
             # every admitted request pays the door fee — including the
             # ones a cache hit resolves without running the solver
-            state.ensure_account().charge(price, "admission")
+            self._charge(state, price, "admission")
         return state
 
     async def submit(
@@ -828,8 +901,8 @@ class AllocationService:
 
     def snapshot(self) -> dict:
         """JSON-able service + per-tenant state for ``/stats``: a view
-        over :attr:`metrics` plus the live queue, tenant and account
-        state."""
+        over :attr:`metrics` (totals via :func:`stats_totals`) plus the
+        live queue, tenant and account state."""
         requests = self._requests.totals()
         preemptions = self._preemptions.totals()
         waits = self._queue_wait.children()
@@ -840,15 +913,6 @@ class AllocationService:
         for (tenant, stage), n in sorted(self._rejections.totals().items()):
             if stage != "preempted":
                 rejected.setdefault(tenant, {})[stage] = n
-        unattributed = rejected.get("", {})
-        totals = dict.fromkeys(_OUTCOMES + ("rejected",), 0)
-        totals["rejected"] = sum(unattributed.values())
-        preempted_total = 0
-        spent = 0.0
-        # the service-wide queue-wait window: every tenant's, in
-        # registry order
-        window: list[float] = []
-        waited = 0
         tenants = {}
         for state in self.registry:
             name, config = state.name, state.config
@@ -863,16 +927,12 @@ class AllocationService:
             }
             for outcome in _OUTCOMES:
                 row[outcome] = requests.get((name, outcome), 0)
-                totals[outcome] += row[outcome]
             row["rejected"] = rejected.get(name, {})
             row["n_rejected"] = sum(row["rejected"].values())
-            totals["rejected"] += row["n_rejected"]
             # market counters only appear once bidding happens, keeping
             # pre-market snapshots byte-identical
-            preempted = requests.get((name, "preempted"), 0)
-            preempted_total += preempted
-            if preempted:
-                row["preempted"] = preempted
+            if requests.get((name, "preempted")):
+                row["preempted"] = requests[(name, "preempted")]
             if preemptions.get((name,)):
                 row["preemptions"] = preemptions[(name,)]
             for key, children in (("queue_wait_s", waits),
@@ -880,24 +940,16 @@ class AllocationService:
                 child = children.get((name,))
                 if child is not None:
                     row[key] = child.summary()
-            if (name,) in waits:
-                window.extend(waits[(name,)].values)
-                waited += waits[(name,)].count
             if config.tier != "standard":
                 row["tier"] = config.tier
             if config.admission_price:
                 row["admission_price"] = config.admission_price
             if state.account is not None:
                 row["account"] = state.account.snapshot()
-                spent += state.account.spent
             tenants[name] = row
-        # economy totals only appear once money moved — pre-market
-        # /stats payloads stay byte-identical
-        if preempted_total:
-            totals["preempted"] = preempted_total
-        if spent:
-            totals["spent"] = round(spent, 6)
-        cache = self._cache_lookups.totals()
+        totals, unattributed, cache, queue_wait = stats_totals(
+            self.metrics, [(name,) for name in tenants]
+        )
         out = {
             "service": {
                 "backend": self.executor.name,
@@ -909,8 +961,7 @@ class AllocationService:
                 "cache": {
                     "capacity": self.cache_size,
                     "size": len(self._cache),
-                    "hits": cache.get(("hit",), 0),
-                    "misses": cache.get(("miss",), 0),
+                    **cache,
                 },
                 "uptime_s": (
                     round(self._clock() - self._started_at, 3)
@@ -922,7 +973,6 @@ class AllocationService:
             "unattributed_rejections": unattributed,
             "tenants": tenants,
         }
-        queue_wait = summarize(window, waited)
         if queue_wait is not None:
             out["service"]["queue_wait_s"] = queue_wait
         return out

@@ -518,9 +518,11 @@ class ServiceHTTPServer(BaseHTTPServer):
             self.service.registry.register(config)
             return 200, {"registered": config.name}
         # shard-control plane (router → shard; additive, undocumented
-        # in the public route list): load for global admission, the
-        # exported registries the router folds into its fleet view,
-        # plus the split halves of a cross-shard preemption
+        # in the public route list): load for global admission, one
+        # answer with all a router's /stats and /metrics read (the
+        # exported registries it folds into its fleet view, and the
+        # snapshot with the tenant rows), plus the split halves of a
+        # cross-shard preemption
         if path == "/v1/shard/load" and method == "GET":
             return 200, {
                 "queued": self.service.queued,
@@ -529,10 +531,15 @@ class ServiceHTTPServer(BaseHTTPServer):
                 "max_in_flight": self.service.max_in_flight,
             }
         if path == "/v1/shard/metrics" and method == "GET":
-            return 200, {
-                "process": get_registry().export(),
+            answer = {
                 "service": self.service.metrics.export(),
+                "stats": self.service.snapshot(),
             }
+            # a socketless app (a LocalShard) answers in its caller's
+            # process, whose registry the caller already holds
+            if self._server is not None:
+                answer["process"] = get_registry().export()
+            return 200, answer
         if path == "/v1/shard/quote" and method == "POST":
             body = self._json_body(raw, "preemption quote")
             _check_fields(body, ("tenant", "bid"), "preemption quote")

@@ -42,11 +42,14 @@ a shard without this router (direct clients, a second router) enters
 the view at that shard's next answer; concurrent submits are not
 serialised against each other.
 
-Fleet view: per scrape the router folds every shard's registries,
-exported on the shard-control route ``/v1/shard/metrics``, into one
+Fleet view: per scrape the router sends each shard one shard-control
+request, ``/v1/shard/metrics``.  The answer carries the shard's service
+registry (and its process registry, from a shard outside the router's
+process) and its snapshot.  The router folds the registries into one
 fresh :class:`~repro.telemetry.metrics.MetricsRegistry` with its own
 (under a leading ``shard`` label).  ``/metrics`` renders it; ``/stats``
-reads its counts from it, tenant rows from each shard's ``/stats``.
+reads every count, level, spend and queue wait from it, and only the
+tenant rows, limits and per-shard blocks from the snapshots.
 
 Tracing: the router records a ``router.route`` span per proxied
 submit under the request's trace id, so ``repro trace <id>`` stitches
@@ -64,9 +67,9 @@ from typing import Callable, Mapping, Sequence
 
 from ..api.requests import FailureRecord
 from ..telemetry import get_logger, record_span, scrape
-from ..telemetry.metrics import MetricsRegistry, summarize
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import TRACE_STORE, span_to_dict
-from .broker import _OUTCOMES, AllocationService
+from .broker import AllocationService, stats_totals
 from .http import (
     QUEUED_HEADER,
     BaseHTTPServer,
@@ -533,7 +536,7 @@ class ShardRouter:
         if path == "/stats" and method == "GET":
             return await self._stats()
         if path == "/metrics" and method == "GET":
-            return 200, _PlainText(scrape(await self._fleet()))
+            return 200, _PlainText(scrape((await self._gather())[0]))
         if path.startswith("/v1/trace/") and method == "GET":
             return await self._trace(path[len("/v1/trace/"):])
         if path == "/v1/submit" and method == "POST":
@@ -803,101 +806,65 @@ class ShardRouter:
     # aggregation
     # ------------------------------------------------------------------
 
-    async def _fleet(self) -> MetricsRegistry:
-        """A fresh registry: the router's own and every answering
-        shard's export under its ``shard`` label — process-level
-        families only from shards not sharing the router's process."""
-        exports = await asyncio.gather(
+    async def _gather(self) -> "tuple[MetricsRegistry, dict]":
+        """One shard-control request per shard: a fresh fleet registry
+        (the router's own families, every answering shard's under its
+        ``shard`` label — process-level ones only from shards outside
+        the router's process) and each answering shard's snapshot."""
+        answers = await asyncio.gather(
             *(shard.request("GET", "/v1/shard/metrics", b"")
               for shard in self.shards)
         )
         fleet = MetricsRegistry()
         fleet.fold(self.metrics.export())
-        for shard, (status, export) in zip(self.shards, exports):
-            if status == 200 and isinstance(export, dict):
-                if not shard.shares_process_state:
-                    fleet.fold(export["process"], shard=shard.name)
-                fleet.fold(export["service"], shard=shard.name)
-        return fleet
+        snaps = {}
+        for name, (status, answer) in zip(self._names, answers):
+            if status == 200 and isinstance(answer, dict):
+                fleet.fold(answer.get("process", ()), shard=name)
+                fleet.fold(answer["service"], shard=name)
+                snaps[name] = answer["stats"]
+        return fleet, snaps
 
     async def _stats(self) -> "tuple[int, object]":
-        """The fleet ``/stats``: counts and queue waits from the fleet
-        registry; tenant rows, service blocks and account spend from
-        each shard's own ``/stats``."""
+        """The fleet ``/stats``: a view over the fleet registry — every
+        count, level, spend and queue wait — plus the tenant rows, the
+        limits and the ``shards`` blocks from each shard's snapshot."""
         if self.n_shards == 1:
             # byte-identical to the single-service deployment: the one
             # shard's snapshot passes through verbatim
             return await self._forward(0, "GET", "/stats", b"")
-        stats, fleet = await asyncio.gather(
-            asyncio.gather(
-                *(shard.request("GET", "/stats", b"")
-                  for shard in self.shards)
-            ),
-            self._fleet(),
-        )
-        snaps = {
-            name: snap for name, (status, snap) in zip(self._names, stats)
-            if status == 200 and isinstance(snap, dict)
-        }
+        fleet, snaps = await self._gather()
+        # shard order, then each shard's tenant-registration order: spend
+        # and the merged raw queue-wait windows (per-shard percentiles
+        # do not compose) are summed in it
+        order = [(name, tenant) for name, snap in snaps.items()
+                 for tenant in snap["tenants"]]
+        totals, unattributed, cache, queue_wait = stats_totals(fleet, order)
 
-        def counts(name: str, *labelnames: str) -> dict:
-            return fleet.counter(name, "", labelnames).totals()
+        def level(name: str) -> int:
+            gauge = fleet.gauge(name, "", ("shard",))
+            return int(sum(c.value for c in gauge.children().values()))
 
-        totals = dict.fromkeys(_OUTCOMES + ("rejected", "preempted"), 0)
-        for (_shard, _tenant, outcome), n in counts(
-            "repro_service_requests_total", "shard", "tenant", "outcome"
-        ).items():
-            totals[outcome] = totals.get(outcome, 0) + n
-        # rejections no tenant can be charged with: the shards' empty
-        # tenant label, and every rejection at the router; preemption
-        # victims were admitted, so "preempted" is never a rejection
-        unattributed: dict[str, int] = {}
-        for (_shard, tenant, stage), n in counts(
-            "repro_service_rejections_total", "shard", "tenant", "stage"
-        ).items():
-            if stage != "preempted":
-                totals["rejected"] += n
-                if not tenant:
-                    unattributed[stage] = unattributed.get(stage, 0) + n
-        for (stage,), n in counts(
-            "repro_router_rejections_total", "stage"
-        ).items():
-            totals["rejected"] += n
-            unattributed[stage] = unattributed.get(stage, 0) + n
-        # market totals only appear once money moved, as on a shard
-        if not totals["preempted"]:
-            del totals["preempted"]
-        spent = sum(snap["totals"].get("spent", 0) for snap in snaps.values())
-        if spent:
-            totals["spent"] = round(spent, 6)
-        cache = counts("repro_service_cache_requests_total", "shard", "result")
         blocks = [snap["service"] for snap in snaps.values()]
         service = {
             "backend": "router", "shards": self.n_shards,
             **{key: sum(b.get(key) or 0 for b in blocks) for key in (
-                "jobs", "max_in_flight", "max_queue_depth", "queued",
-                "in_flight",
+                "jobs", "max_in_flight", "max_queue_depth",
             )},
+            "queued": level("repro_service_queued"),
+            "in_flight": level("repro_service_in_flight"),
             "cache": {
                 "capacity": sum(b["cache"]["capacity"] for b in blocks),
-                "size": sum(b["cache"]["size"] for b in blocks),
-                "hits": sum(n for k, n in cache.items() if k[1] == "hit"),
-                "misses": sum(n for k, n in cache.items() if k[1] == "miss"),
+                "size": level("repro_service_cache_entries"),
+                **cache,
             },
             "uptime_s": (
                 round(self._clock() - self._started_at, 3)
                 if self._started_at is not None else None
             ),
         }
-        # fleet queue-wait percentiles from the merged raw windows
-        # (per-shard percentiles do not compose), in shard order, then
-        # in each shard's tenant-registration order, the order of its
-        # own /stats: the mean is a float sum
-        waits = fleet.histogram(
-            "repro_service_queue_wait_seconds", "", ("shard", "tenant")
-        ).children()
-        window: list[float] = []
-        count = 0
+        if queue_wait is not None:
+            service["queue_wait_s"] = queue_wait
         tenants: dict[str, dict] = {}
         shards_out: dict[str, object] = {}
         for index, name in enumerate(self._names):
@@ -906,10 +873,6 @@ class ShardRouter:
                 shards_out[name] = {"error": "unreachable"}
                 continue
             for tenant, row in snap["tenants"].items():
-                child = waits.get((name, tenant))
-                if child is not None:
-                    window.extend(child.values)
-                    count += child.count
                 # a tenant registered on several shards (shared
                 # --tenant flags) still *lives* on exactly one — keep
                 # the owning shard's row, not whichever came last
@@ -918,13 +881,10 @@ class ShardRouter:
             shards_out[name] = {
                 "service": snap["service"], "totals": snap["totals"],
             }
-        queue_wait = summarize(window, count)
-        if queue_wait is not None:
-            service["queue_wait_s"] = queue_wait
         return 200, {
             "service": service,
             "totals": totals,
-            "unattributed_rejections": dict(sorted(unattributed.items())),
+            "unattributed_rejections": unattributed,
             "tenants": tenants,
             "shards": shards_out,
         }

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
+from ..checks import _at_least
 from ..market.accounts import Account
 
 __all__ = [
@@ -84,44 +85,18 @@ class TenantConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
-        if self.max_in_flight < 1:
-            raise ValueError(
-                f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-        if self.max_queued < 1:
-            raise ValueError(
-                f"max_queued must be >= 1, got {self.max_queued}"
-            )
-        if self.rate_per_s is not None and self.rate_per_s < 0:
-            raise ValueError(
-                f"rate_per_s must be >= 0, got {self.rate_per_s}"
-            )
-        if self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
+        for name in ("weight", "max_in_flight", "max_queued", "burst"):
+            _at_least(self, name, 1)
+        for name in ("rate_per_s", "budget", "refill_per_s"):
+            if getattr(self, name) is not None:
+                _at_least(self, name, 0)
+        if self.refill_per_s is not None and self.budget is None:
+            raise ValueError("refill_per_s requires a finite budget")
+        _at_least(self, "admission_price", 0)
         if self.tier not in TIER_RANK:
             raise ValueError(
                 f"unknown tier {self.tier!r}"
                 f" (valid tiers: {', '.join(sorted(TIER_RANK))})"
-            )
-        if self.budget is not None and self.budget < 0:
-            raise ValueError(
-                f"budget must be >= 0, got {self.budget}"
-            )
-        if self.refill_per_s is not None:
-            if self.refill_per_s < 0:
-                raise ValueError(
-                    f"refill_per_s must be >= 0, got {self.refill_per_s}"
-                )
-            if self.budget is None:
-                raise ValueError(
-                    "refill_per_s requires a finite budget"
-                )
-        if self.admission_price < 0:
-            raise ValueError(
-                f"admission_price must be >= 0, got"
-                f" {self.admission_price}"
             )
 
 

@@ -43,16 +43,18 @@ class TestInstanceSpec:
         ("seed", None, TypeError),
         ("alpha", -1, ValueError),
         ("alpha", "0.9", TypeError),
+        ("alpha", math.nan, ValueError),
+        ("alpha", math.inf, ValueError),
         ("n_object_types", 0, ValueError),
         ("rho", 0.0, ValueError),
         ("rho", math.nan, ValueError),
+        ("rho", math.inf, ValueError),
     ])
     def test_bad_field_rejected_at_construction(self, field, value, error):
         with pytest.raises(error, match=field):
             InstanceSpec(**{field: value})
 
-    def test_nan_and_zero_alpha_still_construct(self):
-        assert math.isnan(InstanceSpec(alpha=math.nan).alpha)
+    def test_zero_alpha_constructs(self):
         assert InstanceSpec(alpha=0).alpha == 0
 
 

@@ -13,9 +13,12 @@ duplicate options.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import InstanceSpec, SolveRequest, solve
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.instances import make_instance
 from repro.platform.catalog import (
     Catalog,
     CpuOption,
@@ -147,10 +150,17 @@ def test_constants_are_computed_once():
 def test_nan_alpha_solve_still_fails_at_downgrade():
     """A NaN work amount must not buy the cheapest machine: Comp-Greedy
     places on top-of-range machines and then finds no spec to downgrade
-    to, so the portfolio stays ``ok: false``."""
+    to, so the portfolio stays ``ok: false``.  ``InstanceSpec`` refuses
+    a NaN ``alpha`` at the door, so the instance is built below it, as
+    ``InstanceSpec.build`` would."""
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        InstanceSpec(n_operators=20, alpha=math.nan, seed=1)
+    instance = make_instance(ExperimentConfig(
+        n_operators=20, alpha=math.nan, n_object_types=15, rho=1.0,
+        master_seed=1,
+    ))
     result = solve(SolveRequest(
-        spec=InstanceSpec(n_operators=20, alpha=math.nan, seed=1),
-        portfolio=("comp-greedy", "random"),
+        instance=instance, portfolio=("comp-greedy", "random"),
     ))
     assert not result.ok
     stages = {f.strategy: f.stage for f in result.failures}

@@ -267,6 +267,9 @@ class TestSpecAtTheDoor:
         ("n_operators", "x", "n_operators must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
         ("alpha", -1, "alpha must be >= 0"),
+        # non-finite: once an ``ok: false`` solve answered with a 200
+        ("alpha", float("nan"), "alpha must be finite"),
+        ("rho", float("inf"), "rho must be finite"),
         ("n_object_types", 0, "n_object_types must be >= 1"),
     ]
 

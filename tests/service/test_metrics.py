@@ -274,3 +274,60 @@ class TestPerShardGauges:
             ), name
         for name in ("repro_service_queued", "repro_service_requests_total"):
             assert text.count(f"# TYPE {name} ") == 1
+
+
+class TestSpendCounters:
+    def test_spend_is_money_that_moved_and_survives_a_recontract(
+        self, gated
+    ):
+        """Each admission fee bumps the tenant's spend counter, and
+        ``totals.spent`` reads that counter.  A re-registration that
+        changes the budget terms rebuilds the account, so the row's
+        ``account.spent`` restarts at 0; the counter, which is money
+        that already moved, does not."""
+        gated.gate.set()
+        price = TenantConfig("t", budget=10.0, admission_price=1.5)
+
+        async def main():
+            service = AllocationService(tenants=(price,))
+            await service.start()
+            for seed in (1, 2):
+                ticket = await service.submit(req("a", seed), tenant="t")
+                await service.result(ticket)
+            before = service.snapshot()
+            service.registry.register(
+                TenantConfig("t", budget=20.0, admission_price=1.5)
+            )
+            recontracted = service.snapshot()
+            await service.result(
+                await service.submit(req("b", 3), tenant="t")
+            )
+            after = service.snapshot()
+            spend = service.metrics.get("repro_service_spend_total")
+            await service.aclose()
+            return before, recontracted, after, spend.totals()
+
+        before, recontracted, after, spend = run(main())
+        assert before["tenants"]["t"]["account"]["spent"] == 3.0
+        assert before["totals"]["spent"] == 3.0
+        assert recontracted["tenants"]["t"]["account"]["spent"] == 0.0
+        assert recontracted["totals"]["spent"] == 3.0
+        assert after["tenants"]["t"]["account"]["spent"] == 1.5
+        assert after["totals"]["spent"] == 4.5
+        assert spend == {("t",): 4.5}
+
+    def test_an_uncovered_charge_counts_no_spend(self):
+        """A preemption charge the account cannot cover moves no money,
+        so it bumps no spend counter (the preemption itself is still
+        counted)."""
+        service = AllocationService(
+            tenants=(TenantConfig("poor", tier="gold", budget=1.0),)
+        )
+        service.charge_preemption(
+            "poor", 5.0, victim="someone", victim_ticket=1
+        )
+        snapshot = service.snapshot()
+        assert snapshot["tenants"]["poor"]["preemptions"] == 1
+        assert snapshot["tenants"]["poor"]["account"]["spent"] == 0.0
+        assert "spent" not in snapshot["totals"]
+        assert not service.metrics.get("repro_service_spend_total").totals()

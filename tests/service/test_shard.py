@@ -16,6 +16,9 @@ The load-bearing contracts:
   windows instead of averaging per-shard percentiles;
 * the router folds every shard's exported registry into one fleet
   registry: ``/metrics`` renders it with each family announced once;
+* ``/stats`` and ``/metrics`` each send one shard-control request per
+  shard, an in-process shard never exports the process registry, and
+  spend and earnings reach the fleet registry as per-tenant counters;
 * a shard whose load probe fails counts as 0 queued, visibly;
 * an :class:`HttpShard` reuses its pooled connections, retries a
   request once on a fresh connection only when a reused one failed
@@ -299,7 +302,9 @@ class TestCrossShardPreemption:
         )
         return router, shards
 
-    def test_gold_on_shard_a_evicts_bronze_on_shard_b(self, gated):
+    def _gold_evicts_bronze(self, gated):
+        """A gold bid on shard 0 evicts a queued bronze request on
+        shard 1; everything the tests below read afterwards."""
         async def scenario():
             router, shards = self._router()
             await router.start()
@@ -343,6 +348,7 @@ class TestCrossShardPreemption:
                 record_of(gold_ticket), 10
             )
             status, stats = await router.dispatch("GET", "/stats", b"")
+            _, metrics = await router.dispatch("GET", "/metrics", b"")
             gold_state = shards[0].service.registry.get("gold")
             bronze_state = shards[1].service.registry.get("bronze")
             # each half of the preemption is counted on its own shard
@@ -350,10 +356,13 @@ class TestCrossShardPreemption:
                     shards[1].service.snapshot()["tenants"]["bronze"])
             await router.aclose()
             return (victim_records, gold_record, stats,
-                    gold_state, bronze_state, victims, rows)
+                    gold_state, bronze_state, victims, rows, metrics.text)
 
-        (victim_records, gold_record, stats,
-         gold_state, bronze_state, victims, rows) = run(scenario())
+        return run(scenario())
+
+    def test_gold_on_shard_a_evicts_bronze_on_shard_b(self, gated):
+        (victim_records, gold_record, stats, gold_state, bronze_state,
+         victims, rows, _metrics) = self._gold_evicts_bronze(gated)
 
         preempted = [
             r for r in victim_records if r["status"] == "failed"
@@ -378,6 +387,28 @@ class TestCrossShardPreemption:
         assert stats["totals"]["spent"] == pytest.approx(26.0)
         assert stats["tenants"]["gold"]["preemptions"] == 1
         assert stats["tenants"]["bronze"]["preempted"] == 1
+
+    def test_spend_and_earnings_are_fleet_counters(self, gated):
+        """The router's /metrics carries each tenant's spend and
+        earnings under its shard's label; the spend samples sum to the
+        /stats ``totals.spent``, and the victim earned the bid."""
+        outcome = self._gold_evicts_bronze(gated)
+        stats, metrics = outcome[2], outcome[-1]
+
+        def samples(family):
+            return {
+                (shard, tenant): float(value)
+                for shard, tenant, value in re.findall(
+                    rf'^{family}\{{shard="([^"]+)",tenant="([^"]+)"\}}'
+                    r" (\S+)$", metrics, re.M,
+                )
+            }
+
+        spend = samples("repro_service_spend_total")
+        earnings = samples("repro_service_earnings_total")
+        assert spend == {("shard-0", "gold"): 26.0}
+        assert sum(spend.values()) == stats["totals"]["spent"]
+        assert earnings == {("shard-1", "bronze"): 25.0}
 
     def test_without_bid_global_bound_rejects(self, gated):
         async def main():
@@ -564,6 +595,62 @@ class TestAggregation:
             s for s in trace["spans"] if s["name"] == "router.route"
         )
         assert router_span["attributes"]["shard"].startswith("shard-")
+
+
+class TestOneScrape:
+    """A router's ``/stats`` and ``/metrics`` each send one
+    shard-control request per shard, and an in-process shard never
+    exports the process-wide registry: the router already holds it."""
+
+    def _scrape(self, gated, n):
+        """Per route, the shard indices its scrape sent a request to."""
+        async def main():
+            gated.gate.set()
+            shards = [LocalShard(name=f"shard-{i}") for i in range(n)]
+            router = ShardRouter(shards)
+            await router.start()
+            for i, tenant in enumerate(TENANTS):
+                status, payload = await router.dispatch(
+                    "POST", "/v1/submit",
+                    submit_raw(solve_req(60 + i), tenant),
+                )
+                assert status == 200, payload
+            sent = []
+            for index, shard in enumerate(shards):
+                def counted(method, path, raw, real=shard.request,
+                            index=index):
+                    sent.append(index)
+                    return real(method, path, raw)
+
+                shard.request = counted
+            per_scrape = {}
+            for route in ("/stats", "/metrics"):
+                sent.clear()
+                status, _ = await router.dispatch("GET", route, b"")
+                assert status == 200
+                per_scrape[route] = sorted(sent)
+            await router.aclose()
+            return per_scrape
+
+        return run(main())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_request_per_shard_per_scrape(self, gated, n):
+        assert self._scrape(gated, n) == {
+            "/stats": list(range(n)), "/metrics": list(range(n)),
+        }
+
+    def test_local_shards_never_export_the_process_registry(
+        self, gated, monkeypatch
+    ):
+        process = get_registry()
+        exports = []
+        real_export = process.export
+        monkeypatch.setattr(
+            process, "export", lambda: exports.append(1) or real_export()
+        )
+        self._scrape(gated, 2)
+        assert exports == []
 
 
 def _closed_port() -> int:
