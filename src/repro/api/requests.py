@@ -25,7 +25,7 @@ see :mod:`repro.api.registry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from ..checks import _at_least, _boolean, _finite, _integer, _positive, _real
 from ..core.pipeline import AllocationResult
@@ -35,12 +35,10 @@ from ..dynamic.replay import (
     DEFAULT_MIGRATION_COST_PER_MB,
     DEFAULT_SALVAGE_FRACTION,
 )
-from ..dynamic.traces import TRACE_FACTORIES, WorkloadTrace
+from ..dynamic.traces import TRACE_FACTORIES, WorkloadTrace, make_trace
 from ..errors import did_you_mean
+from ..methodology import ExperimentConfig, make_instance
 from . import registry
-
-if TYPE_CHECKING:  # avoids a module cycle with repro.experiments
-    from ..experiments.config import ExperimentConfig
 
 __all__ = [
     "FailureRecord",
@@ -73,7 +71,7 @@ class InstanceSpec:
     keeps batch requests tiny; :meth:`build` is deterministic in the
     spec, so a spec *is* its instance for reproducibility purposes.
     It draws through the campaign factory
-    (:func:`repro.experiments.instances.make_instance`) with no
+    (:func:`repro.methodology.make_instance`) with no
     population index, ``seed`` as the master seed.
     """
 
@@ -93,9 +91,6 @@ class InstanceSpec:
         _positive(self, "rho", _finite)
 
     def build(self) -> ProblemInstance:
-        from ..experiments.config import ExperimentConfig
-        from ..experiments.instances import make_instance
-
         config = ExperimentConfig(
             n_operators=self.n_operators,
             alpha=self.alpha,
@@ -425,8 +420,6 @@ class ReplayRequest:
     def resolve_trace(self) -> WorkloadTrace:
         if isinstance(self.trace, WorkloadTrace):
             return self.trace
-        from ..dynamic.traces import make_trace
-
         return make_trace(self.trace, seed=self.seed)
 
     def describe(self) -> str:
@@ -442,7 +435,7 @@ class SweepRequest:
     seeded instance populations.
 
     ``configs`` maps every sweep point to the
-    :class:`~repro.experiments.config.ExperimentConfig` of its
+    :class:`~repro.methodology.ExperimentConfig` of its
     population, and ``heuristics`` (empty: all six, in the paper's
     order) are placement strategies.  Points are normalised to floats,
     and the request is checked here, at the door: every point needs
@@ -455,7 +448,7 @@ class SweepRequest:
     name: str
     parameter: str
     x_values: tuple[float, ...]
-    configs: Mapping[float, "ExperimentConfig"]
+    configs: Mapping[float, ExperimentConfig]
     heuristics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

@@ -44,6 +44,7 @@ import json
 import struct
 from typing import Any, Mapping
 
+from ..methodology import ExperimentConfig
 from .requests import InstanceSpec, ReplayRequest, SolveRequest, SweepRequest
 
 __all__ = [
@@ -214,8 +215,6 @@ def sweep_request_to_wire(request: SweepRequest) -> dict:
 
 
 def sweep_request_from_wire(data: Mapping[str, Any]) -> SweepRequest:
-    from ..experiments.config import ExperimentConfig
-
     body = _strip_envelope(data, "sweep request")
     _reject_unknown(body, _field_names(SweepRequest), "sweep request")
     configs: dict[float, ExperimentConfig] = {}

@@ -10,16 +10,16 @@ output size, ``δ_i = δ_l + δ_r``."
 Generators produce *shapes* first (full binary trees where every
 operator has exactly two children, each child independently an operator
 or a leaf, subject to the requested operator count), draw object types
-for leaves, then run the bottom-up annotation pass
-(:func:`annotate_tree`).  Left-deep chains (Figure 1(b)) and perfectly
-balanced trees are provided for the complexity results and the mutation
-ablation.
+for leaves, then annotate them bottom-up (:func:`annotate_tree` is the
+same rule for hand-built trees).  Left-deep chains (Figure 1(b)) and
+perfectly balanced trees are provided for the complexity results and
+the mutation ablation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,20 +149,43 @@ def assemble_tree(
             f" {len(leaf_objects)} objects were supplied"
         )
     it = iter(leaf_objects)
-    operators = []
-    for i in range(shape.n_operators):
-        leaves = tuple(next(it) for _ in range(shape.leaf_slots[i]))
-        operators.append(
-            Operator(
-                index=i,
-                children=shape.children[i],
-                leaves=leaves,
-                work=0.0,
-                output_mb=0.0,
-            )
-        )
-    tree = OperatorTree(operators, catalog, name=name)
-    return annotate_tree(tree, alpha=alpha)
+    leaves = [tuple(next(it) for _ in range(k)) for k in shape.leaf_slots]
+    annotations = _annotate(0, shape.children, leaves, catalog, alpha)
+    return OperatorTree(
+        [
+            Operator(index=i, children=shape.children[i], leaves=leaves[i],
+                     work=work, output_mb=output)
+            for i, (work, output) in enumerate(annotations)
+        ],
+        catalog,
+        name=name,
+    )
+
+
+def _annotate(
+    root: int,
+    children: Sequence[Sequence[int]],
+    leaves: Sequence[Sequence[int]],
+    catalog: ObjectCatalog,
+    alpha: float,
+) -> list[tuple[float, float]]:
+    """``(w_i, δ_i)`` per node of the tree ``children`` spans from
+    ``root``, children before parents (a child's index may be lower
+    than its parent's): ``δ_i = δ_l + δ_r`` and ``w_i = δ_i**α``."""
+    if alpha < 0:
+        raise TreeStructureError(f"alpha must be non-negative, got {alpha}")
+    n, order, stack = len(children), [], [root]
+    while stack and len(order) <= n:  # the bound stops at a cycle
+        order.append(stack.pop())
+        if 0 <= order[-1] < n:
+            stack.extend(children[order[-1]])
+    if sorted(order) != list(range(n)):
+        raise TreeStructureError(f"operators must form one tree under n{root}")
+    outputs = [0.0] * n
+    for i in reversed(order):
+        outputs[i] = (sum(catalog[k].size_mb for k in leaves[i])
+                      + sum(outputs[c] for c in children[i]))
+    return [(total**alpha, total) for total in outputs]
 
 
 def annotate_tree(tree: OperatorTree, *, alpha: float) -> OperatorTree:
@@ -173,18 +196,20 @@ def annotate_tree(tree: OperatorTree, *, alpha: float) -> OperatorTree:
     output ``δ`` for an operator child.  Operators with a single input
     (possible for hand-built trees) use that single contribution.
     """
-    if alpha < 0:
-        raise TreeStructureError(f"alpha must be non-negative, got {alpha}")
-    outputs: dict[int, float] = {}
-    new_ops: dict[int, Operator] = {}
-    for i in tree.bottom_up():
-        op = tree[i]
-        total = sum(tree.catalog[k].size_mb for k in op.leaves)
-        total += sum(outputs[c] for c in op.children)
-        outputs[i] = total
-        new_ops[i] = op.with_annotation(work=total**alpha, output_mb=total)
+    annotations = _annotate(
+        tree.root,
+        [op.children for op in tree],
+        [op.leaves for op in tree],
+        tree.catalog,
+        alpha,
+    )
     return OperatorTree(
-        [new_ops[i] for i in range(len(tree))], tree.catalog, name=tree.name
+        [
+            op.with_annotation(work=work, output_mb=output)
+            for op, (work, output) in zip(tree, annotations)
+        ],
+        tree.catalog,
+        name=tree.name,
     )
 
 

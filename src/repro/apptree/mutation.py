@@ -29,12 +29,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Sequence
 
 from ..errors import TreeStructureError
-from .generators import annotate_tree, assemble_tree, balanced_shape, left_deep_shape
-from .nodes import Operator
-from .objects import ObjectCatalog
+from .generators import TreeShape, assemble_tree, balanced_shape, left_deep_shape
 from .tree import OperatorTree
 
 __all__ = [
@@ -117,29 +114,21 @@ def huffman_equivalent(tree: OperatorTree, *, alpha: float) -> OperatorTree:
             heap, (m1 + m2, next(counter), ("op", temp_id))
         )
 
+    # Re-index so the final merge (root) is operator 0: temp id t
+    # becomes n_ops - 1 - t, so operators list in reversed creation order.
     n_ops = len(children)
-    # Re-index so the final merge (root) gets operator index 0 and the
-    # tree lists operators in index order with children pointing at
-    # higher temp ids re-mapped appropriately.
-    remap = {temp: n_ops - 1 - temp for temp in range(n_ops)}
-    operators: list[Operator] = [None] * n_ops  # type: ignore[list-item]
-    for temp in range(n_ops):
-        idx = remap[temp]
-        ops_kids = []
-        leaf_kids = []
-        for kind, ref in children[temp]:
-            if kind == "leaf":
-                leaf_kids.append(ref)
-            else:
-                ops_kids.append(remap[ref])
-        operators[idx] = Operator(
-            index=idx,
-            children=tuple(ops_kids),
-            leaves=tuple(leaf_kids),
-            work=0.0,
-            output_mb=0.0,
-        )
-    rebuilt = OperatorTree(
-        operators, catalog, name=f"{tree.name or 'app'}-huffman"
+    merges = children[::-1]
+    shape = TreeShape(
+        children=tuple(
+            tuple(n_ops - 1 - ref for kind, ref in pair if kind == "op")
+            for pair in merges
+        ),
+        leaf_slots=tuple(
+            sum(kind == "leaf" for kind, _ in pair) for pair in merges
+        ),
     )
-    return annotate_tree(rebuilt, alpha=alpha)
+    return assemble_tree(
+        shape,
+        [ref for pair in merges for kind, ref in pair if kind == "leaf"],
+        catalog, alpha=alpha, name=f"{tree.name or 'app'}-huffman",
+    )

@@ -1,5 +1,5 @@
 """Field checks shared by the frozen config and request dataclasses
-(:class:`~repro.experiments.config.ExperimentConfig` and the
+(:class:`~repro.methodology.ExperimentConfig` and the
 :mod:`repro.api.requests` types).  A malformed field raises
 ``TypeError`` or ``ValueError`` naming the field at construction,
 which the wire decode turns into a 400 before any admission."""

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..apptree.generators import annotate_tree
 from ..apptree.nodes import Operator
 from ..apptree.objects import BasicObject, ObjectCatalog
 from ..apptree.tree import OperatorTree

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..apptree.generators import random_tree
 from ..apptree.multi import combine_forest
@@ -46,6 +46,7 @@ from ..apptree.objects import BasicObject, ObjectCatalog
 from ..apptree.tree import OperatorTree
 from ..core.problem import ProblemInstance
 from ..errors import ModelError
+from ..methodology import ExperimentConfig, make_instance
 from ..platform.catalog import dell_catalog
 from ..platform.network import NetworkModel
 from ..platform.resources import Server
@@ -131,42 +132,6 @@ class WorkloadTrace:
 # shared construction helpers
 # ----------------------------------------------------------------------
 
-def _base_instance(
-    n_operators: int,
-    *,
-    alpha: float,
-    rho: float,
-    seed: int,
-    n_object_types: int = 15,
-    name: str = "",
-) -> ProblemInstance:
-    """A paper-methodology instance from trace-derived seed streams."""
-    catalog = ObjectCatalog.random(
-        n_object_types, seed=spawn(seed, "trace", "objects")
-    )
-    tree = random_tree(
-        n_operators, catalog, alpha=alpha, seed=spawn(seed, "trace", "tree")
-    )
-    farm = ServerFarm.random(
-        n_object_types, seed=spawn(seed, "trace", "servers")
-    )
-    return ProblemInstance(
-        tree=tree, farm=farm, catalog=dell_catalog(),
-        network=NetworkModel(), rho=rho, name=name,
-    )
-
-
-def _retarget_catalog(
-    tree: OperatorTree, catalog: ObjectCatalog
-) -> OperatorTree:
-    """The same operators over a re-frequenced catalog.
-
-    Frequencies do not enter the δ/w annotation (only sizes do), so the
-    operator records can be reused verbatim.
-    """
-    return OperatorTree(list(tree), catalog, name=tree.name)
-
-
 def _named_tree(tree: OperatorTree, app: str) -> OperatorTree:
     """Give every operator the globally unique name ``<app>.n<i>`` so
     the repair planner can match operators across forest re-indexing."""
@@ -201,10 +166,9 @@ def ramp_trace(
     first half of the epochs, descend back over the second half."""
     if n_epochs < 2:
         raise ModelError("ramp_trace needs at least 2 epochs")
-    initial = _base_instance(
-        n_operators, alpha=alpha, rho=rho_base, seed=seed,
-        name=f"ramp(n={n_operators}, seed={seed})",
-    )
+    initial = make_instance(ExperimentConfig(
+        n_operators=n_operators, alpha=alpha, rho=rho_base, master_seed=seed,
+    ), name=f"ramp(n={n_operators}, seed={seed})", prefix=("trace",))
     up = (n_epochs + 1) // 2
     events = []
     for e in range(1, n_epochs + 1):
@@ -237,10 +201,9 @@ def diurnal_trace(
     ``rho_mean`` with the given relative ``amplitude``."""
     if not (0.0 <= amplitude < 1.0):
         raise ModelError("amplitude must be in [0, 1)")
-    initial = _base_instance(
-        n_operators, alpha=alpha, rho=rho_mean, seed=seed,
-        name=f"diurnal(n={n_operators}, seed={seed})",
-    )
+    initial = make_instance(ExperimentConfig(
+        n_operators=n_operators, alpha=alpha, rho=rho_mean, master_seed=seed,
+    ), name=f"diurnal(n={n_operators}, seed={seed})", prefix=("trace",))
     events = []
     for e in range(1, n_epochs + 1):
         phase = 2.0 * math.pi * e / n_epochs
@@ -272,10 +235,9 @@ def frequency_shift_trace(
     lo, hi = shift_range
     if not (0.0 < lo <= hi):
         raise ModelError(f"invalid shift range {shift_range}")
-    initial = _base_instance(
-        n_operators, alpha=alpha, rho=1.0, seed=seed,
-        name=f"freq-shift(n={n_operators}, seed={seed})",
-    )
+    initial = make_instance(ExperimentConfig(
+        n_operators=n_operators, alpha=alpha, master_seed=seed,
+    ), name=f"freq-shift(n={n_operators}, seed={seed})", prefix=("trace",))
     base_objects = tuple(initial.tree.catalog)
     rng = spawn(seed, "trace", "freq-shift")
     events = []
@@ -302,7 +264,9 @@ def frequency_shift_trace(
             TraceEvent(
                 time=float(e), kind="frequency",
                 label=f"freq-shift x{len(picks)}",
-                tree=_retarget_catalog(initial.tree, catalog),
+                # frequencies do not enter the δ/w annotation (only
+                # sizes do), so the operator records are reused verbatim
+                tree=OperatorTree(list(initial.tree), catalog),
             )
         )
     return WorkloadTrace(
@@ -330,10 +294,9 @@ def churn_trace(
     walk of ±``drift_step`` steps, so the load the platform must carry
     keeps moving while object placement keeps shifting underneath it.
     """
-    initial = _base_instance(
-        n_operators, alpha=alpha, rho=rho_base, seed=seed,
-        name=f"churn(n={n_operators}, seed={seed})",
-    )
+    initial = make_instance(ExperimentConfig(
+        n_operators=n_operators, alpha=alpha, rho=rho_base, master_seed=seed,
+    ), name=f"churn(n={n_operators}, seed={seed})", prefix=("trace",))
     farm0 = initial.farm
     n_servers = len(farm0)
     base_objects: dict[int, frozenset[int]] = {

@@ -35,17 +35,16 @@ from ..core.heuristics.registry import HEURISTIC_ORDER
 from ..core.ilp import IlpStatistics, model_statistics
 from ..errors import SolverError
 from ..rng import derive_seed
-from .config import (
+from ..methodology import (
     ALPHA_SWEEP_DEFAULT,
     DENSE_OPS_PER_GHZ,
     ExperimentConfig,
     N_SWEEP_DEFAULT,
     large_high,
+    make_instance,
     small_high,
     small_low,
 )
-from .instances import make_instance
-from .report import format_sweep_table, ranking_summary, sweep_to_csv
 from .runner import SweepResult, run_sweep
 
 __all__ = [
@@ -80,7 +79,7 @@ def fig2a(
     """Figure 2(a): α = 0.9, high frequency, small objects.
 
     Runs under the *dense* calibration with 2.5 GB/s links (see
-    :mod:`repro.experiments.config`): Figure 2(a)'s cost magnitudes
+    :mod:`repro.methodology`): Figure 2(a)'s cost magnitudes
     imply a few average operators per cheapest machine, which pins
     ``ops_per_ghz ≈ 30``; under the cliff-faithful default the α = 0.9
     workload consolidates onto one machine and the figure degenerates.

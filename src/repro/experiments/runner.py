@@ -31,10 +31,9 @@ from ..api.requests import SolveRequest, SweepRequest
 from ..api.service import solve
 from ..core.heuristics.registry import HEURISTIC_ORDER
 from ..core.problem import ProblemInstance
+from ..methodology import ExperimentConfig, make_instance
 from ..rng import derive_seed
 from ..telemetry import span
-from .config import ExperimentConfig
-from .instances import make_instance
 
 __all__ = [
     "InstanceOutcome",

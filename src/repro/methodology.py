@@ -1,4 +1,5 @@
-"""Experiment configuration following the simulation methodology (§5).
+"""The simulation methodology (§5): configuration and the one instance
+factory.
 
 "All our simulations use randomly generated binary operator trees with
 at most N operators [...] each basic object is chosen randomly among 15
@@ -29,21 +30,45 @@ EXPERIMENTS.md for the full derivation):
     document the tension (EXPERIMENTS.md).  The fig2a campaign also
     widens links to 2.5 GB/s so top-of-tree edges (≈1.2 GB at N = 140)
     remain routable, which the paper's feasible N = 140 points imply.
+
+:func:`make_instance` is the only place a single-tree instance is
+drawn, fully determined by ``(config, instance_index)``: object catalog,
+tree shape, leaf draws and servers use independent sub-streams spawned
+from the master seed, so any data point of any figure can be
+regenerated in isolation.  Its callers are the §5 campaigns
+(:mod:`repro.experiments`), :meth:`repro.api.InstanceSpec.build` (no
+index: ``spawn(seed, "objects")``) and the ``ramp``, ``diurnal``,
+``freq-shift`` and ``churn`` trace families of :mod:`repro.dynamic.traces`
+(no index, ``"trace"`` prefix: ``spawn(seed, "trace", "objects")``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Iterator
 
-from ..apptree.objects import (
+from .apptree.generators import random_tree
+from .apptree.objects import (
     HIGH_FREQUENCY_HZ,
     LARGE_SIZE_RANGE_MB,
     LOW_FREQUENCY_HZ,
     SMALL_SIZE_RANGE_MB,
+    ObjectCatalog,
 )
-from ..checks import _at_least, _boolean, _integer, _is_real, _positive, _real
-from ..units import (
+from .checks import _at_least, _boolean, _integer, _is_real, _positive, _real
+from .core.problem import ProblemInstance
+from .platform.catalog import (
+    DELL_CPU_OPTIONS,
+    DELL_NIC_OPTIONS,
+    Catalog,
+    NicOption,
+    dell_catalog,
+)
+from .platform.network import NetworkModel
+from .platform.servers import ServerFarm
+from .rng import spawn
+from .units import (
     DEFAULT_LINK_BANDWIDTH_MBPS,
     OPS_PER_GHZ,
     SERVER_NIC_BANDWIDTH_MBPS,
@@ -51,6 +76,8 @@ from ..units import (
 
 __all__ = [
     "ExperimentConfig",
+    "make_instance",
+    "instance_stream",
     "STANDARD_OPS_PER_GHZ",
     "DENSE_OPS_PER_GHZ",
     "small_high",
@@ -181,3 +208,81 @@ def large_high(**changes) -> ExperimentConfig:
     """Large objects (450–530 MB), high frequency — the regime where
     feasibility collapses past ≈45 operators."""
     return ExperimentConfig(size_range_mb=LARGE_SIZE_RANGE_MB).with_(**changes)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _machine_catalog(
+    ops_per_ghz: float, fat_nics: bool, homogeneous: bool
+) -> Catalog:
+    """The shared Table 1 catalog variant a configuration buys from."""
+    if fat_nics:
+        # Table 1 NIC column read as GB/s: ×8 capacity, same prices.
+        catalog = Catalog(
+            DELL_CPU_OPTIONS,
+            [NicOption(n.bandwidth_gbps * 8.0, n.upgrade_cost)
+             for n in DELL_NIC_OPTIONS],
+            ops_per_ghz=ops_per_ghz,
+        )
+    else:
+        catalog = dell_catalog(ops_per_ghz=ops_per_ghz)
+    return catalog.homogeneous() if homogeneous else catalog
+
+
+def make_instance(
+    config: ExperimentConfig,
+    index: int | None = None,
+    *,
+    name: str | None = None,
+    prefix: tuple[str, ...] = (),
+) -> ProblemInstance:
+    """Draw the ``index``-th instance of the configured population.
+
+    The tree and the instance are named ``"<label>#<index>"``;
+    ``name`` renames the instance.  ``index=None`` draws from the
+    index-free sub-streams and leaves the tree unnamed.  ``prefix``
+    heads every sub-stream path (the trace families draw under
+    ``("trace",)``).
+    """
+    seed = config.master_seed
+    path = () if index is None else (index,)
+    label = "" if index is None else f"{config.label}#{index}"
+    objects = ObjectCatalog.random(
+        config.n_object_types,
+        size_range_mb=config.size_range_mb,
+        frequency_hz=config.frequency_hz,
+        seed=spawn(seed, *prefix, "objects", *path),
+    )
+    tree = random_tree(
+        config.n_operators,
+        objects,
+        alpha=config.alpha,
+        seed=spawn(seed, *prefix, "tree", *path),
+        name=label,
+    )
+    farm = ServerFarm.random(
+        config.n_object_types,
+        n_servers=config.n_servers,
+        nic_mbps=config.server_nic_mbps,
+        replication_probability=config.replication_probability,
+        seed=spawn(seed, *prefix, "servers", *path),
+    )
+    network = NetworkModel(
+        processor_link_mbps=config.link_mbps,
+        server_link_mbps=config.link_mbps,
+    )
+    return ProblemInstance(
+        tree=tree,
+        farm=farm,
+        catalog=_machine_catalog(
+            config.ops_per_ghz, config.fat_nics, config.homogeneous
+        ),
+        network=network,
+        rho=config.rho,
+        name=label if name is None else name,
+    )
+
+
+def instance_stream(config: ExperimentConfig) -> Iterator[ProblemInstance]:
+    """All ``config.n_instances`` instances, lazily."""
+    for index in range(config.n_instances):
+        yield make_instance(config, index)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ..errors import PlatformModelError
@@ -175,6 +176,10 @@ class Catalog:
     crossed with the NIC options from some index up.  The answer for
     every such pair of suffixes is tabulated at construction, and a
     query is two bisections into the per-dimension thresholds.
+
+    A catalog is immutable once built (assigning to it raises
+    :class:`AttributeError`), so one catalog is shared by every
+    instance that buys from it (see :func:`dell_catalog`).
     """
 
     def __init__(
@@ -244,6 +249,15 @@ class Catalog:
             for row in cheapest[: ci + 1]:
                 row[: ni + 1] = [spec] * (ni + 1)
         self._cheapest = tuple(tuple(row) for row in cheapest)
+        self._frozen = True
+
+    def __setattr__(self, name: str, value) -> None:
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"Catalog is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Catalog is immutable: cannot delete {name!r}")
 
     # -- basic access ---------------------------------------------------
     @property
@@ -320,10 +334,16 @@ class Catalog:
 
 
 def dell_catalog(*, ops_per_ghz: float = OPS_PER_GHZ) -> Catalog:
-    """The paper's Table 1 catalog (fresh instance).
+    """The paper's Table 1 catalog, one shared immutable instance per
+    calibration (repeat calls return the same object).
 
     ``ops_per_ghz`` selects the work-unit calibration; the default
     reproduces the paper's α-feasibility thresholds (see
     :mod:`repro.units`)."""
+    return _dell_catalog(ops_per_ghz)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _dell_catalog(ops_per_ghz: float) -> Catalog:
     return Catalog(DELL_CPU_OPTIONS, DELL_NIC_OPTIONS,
                    ops_per_ghz=ops_per_ghz)

@@ -64,6 +64,7 @@ import dataclasses
 import json
 import urllib.parse
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 from ..api.requests import ReplayRequest, SolveRequest, SweepRequest
@@ -72,6 +73,7 @@ from ..api.wire import (
     _reject_unknown,
     request_from_wire,
 )
+from ..checks import _at_least, _finite
 from ..telemetry import get_registry, scrape, span_to_dict
 from ..telemetry.trace import TRACE_STORE
 from .broker import AdmissionRejected, AllocationService
@@ -152,6 +154,16 @@ def _coerce(value: Any, kind, what: str):
         return kind(value)
     except (TypeError, ValueError) as err:
         raise _bad(f"bad {what}: {err}") from err
+
+
+def _bid(body: Mapping[str, Any]) -> float:
+    """A body's ``bid``: a finite amount >= 0 like a request's, checked
+    before the service is touched (400 naming ``bid`` otherwise)."""
+    bid = _coerce(body.get("bid", 0.0), float, "'bid'")
+    try:
+        return _at_least(SimpleNamespace(bid=bid), "bid", 0, _finite)
+    except ValueError as err:
+        raise _bad(f"bad 'bid': {err}") from err
 
 
 async def _readline(reader: asyncio.StreamReader, status: int) -> bytes:
@@ -544,8 +556,7 @@ class ServiceHTTPServer(BaseHTTPServer):
             body = self._json_body(raw, "preemption quote")
             _check_fields(body, ("tenant", "bid"), "preemption quote")
             quote = self.service.preemption_quote(
-                str(body.get("tenant", "default")),
-                _coerce(body.get("bid", 0.0), float, "'bid'"),
+                str(body.get("tenant", "default")), _bid(body),
             )
             return 200, (
                 quote if quote is not None
@@ -572,7 +583,7 @@ class ServiceHTTPServer(BaseHTTPServer):
             victim_tenant = self.service.preempt_ticket(
                 _coerce(body.get("ticket", 0), int, "'ticket'"),
                 by=str(body.get("by", "")),
-                bid=_coerce(body.get("bid", 0.0), float, "'bid'"),
+                bid=_bid(body),
             )
             return 200, {
                 "ok": victim_tenant is not None,
@@ -586,7 +597,7 @@ class ServiceHTTPServer(BaseHTTPServer):
             )
             self.service.charge_preemption(
                 str(body.get("tenant", "")),
-                _coerce(body.get("bid", 0.0), float, "'bid'"),
+                _bid(body),
                 victim=str(body.get("victim", "")),
                 victim_ticket=_coerce(
                     body.get("victim_ticket", 0), int, "'victim_ticket'"
@@ -616,9 +627,7 @@ class ServiceHTTPServer(BaseHTTPServer):
         deadline_s = body.get("deadline_s")
         if deadline_s is not None:
             deadline_s = _coerce(deadline_s, float, "'deadline_s'")
-        bid = body.get("bid")
-        if bid is not None:
-            bid = _coerce(bid, float, "'bid'")
+        bid = None if body.get("bid") is None else _bid(body)
         try:
             ticket = await self.service.submit(
                 request,

@@ -183,7 +183,7 @@ class TestTraceIdRoundTrip:
 
 class TestSweepRoundTrip:
     def test_round_trips_exactly(self):
-        from repro.experiments.config import small_high
+        from repro.methodology import small_high
 
         alphas = (0.9, 1.3, 1.7)
         request = SweepRequest(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apptree.generators import (
+    TreeShape,
     annotate_tree,
     assemble_tree,
     balanced_shape,
@@ -83,11 +84,25 @@ class TestAnnotation:
         with pytest.raises(TreeStructureError):
             random_tree(5, CAT, alpha=-0.5, seed=0)
 
-    def test_annotation_idempotent(self):
-        t = random_tree(15, CAT, alpha=1.1, seed=2)
+    @pytest.mark.parametrize("shape", [
+        random_tree_shape(15, seed=2),
+        left_deep_shape(15),
+        balanced_shape(15),
+        # a child indexed below its parent: 0 -> 2 -> 1
+        TreeShape(children=((2,), (), (1,)), leaf_slots=(1, 2, 1)),
+    ], ids=["random", "left-deep", "balanced", "child-below-parent"])
+    def test_annotation_idempotent(self, shape):
+        leaves = [k % len(CAT) for k in range(shape.n_leaves)]
+        t = assemble_tree(shape, leaves, CAT, alpha=1.1)
         again = annotate_tree(t, alpha=1.1)
         for i in t.operator_indices:
-            assert again[i].work == pytest.approx(t[i].work)
+            assert again[i].work == t[i].work
+            assert again[i].output_mb == t[i].output_mb
+        assert t[t.root].output_mb == pytest.approx(
+            sum(CAT[k].size_mb for k in leaves)
+        )
+        with pytest.raises(TreeStructureError):
+            assemble_tree(shape, leaves, CAT, alpha=-0.5)
 
 
 class TestGenerators:

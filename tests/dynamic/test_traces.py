@@ -1,7 +1,13 @@
 """Workload-trace generators: structure, application, determinism."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.dynamic.traces import (
     TRACE_FACTORIES,
     TRACE_ORDER,
@@ -58,6 +64,30 @@ class TestRegistry:
     def test_unknown_trace_rejected(self):
         with pytest.raises(KeyError, match="unknown trace"):
             make_trace("nope")
+
+
+def test_traces_do_not_import_the_campaign_package():
+    """The trace families draw through the methodology factory without
+    loading ``repro.experiments`` (figures, runner, ILP module), whose
+    import would add to every replay's setup time."""
+    code = (
+        "import sys\n"
+        "from repro.dynamic import make_trace\n"
+        "make_trace('churn'); make_trace('ramp')\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith('repro.experiments'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", TRACE_ORDER)

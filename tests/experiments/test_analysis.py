@@ -11,7 +11,7 @@ from repro.experiments.analysis import (
     frontier_table,
     win_matrix,
 )
-from repro.experiments.config import small_high
+from repro.methodology import small_high
 from repro.api import SweepRequest
 from repro.experiments.runner import run_sweep
 

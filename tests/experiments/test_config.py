@@ -8,7 +8,7 @@ from repro.apptree.objects import (
     LOW_FREQUENCY_HZ,
     SMALL_SIZE_RANGE_MB,
 )
-from repro.experiments.config import (
+from repro.methodology import (
     ALPHA_SWEEP_DEFAULT,
     DENSE_OPS_PER_GHZ,
     ExperimentConfig,

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.experiments.config import large_high, small_high, small_low
-from repro.experiments.instances import instance_stream, make_instance
+from repro.api import InstanceSpec
+from repro.apptree.tree import OperatorTree
+from repro.methodology import (
+    instance_stream,
+    large_high,
+    make_instance,
+    small_high,
+    small_low,
+)
+from repro.platform.catalog import Catalog, dell_catalog
+from repro.units import OPS_PER_GHZ
 
 
 class TestMakeInstance:
@@ -64,3 +73,56 @@ class TestInstanceStream:
     def test_stream_length(self):
         cfg = small_high(n_operators=10, n_instances=4)
         assert len(list(instance_stream(cfg))) == 4
+
+
+class TestBuiltOnce:
+    """Each drawn instance constructs one tree, and a calibration's
+    catalog is built once and shared."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        counts = {OperatorTree: 0, Catalog: 0}
+        for cls in counts:
+            def counting(self, *args, _init=cls.__init__, _cls=cls,
+                         **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+
+        def count(build):
+            for cls in counts:
+                counts[cls] = 0
+            build()
+            return counts[OperatorTree], counts[Catalog]
+
+        return count
+
+    def test_spec_build(self, built):
+        spec = InstanceSpec(n_operators=12, alpha=1.3, seed=5)
+        assert built(spec.build)[0] == 1
+        assert built(spec.build) == (1, 0)
+
+    @pytest.mark.parametrize("config", [
+        small_high(n_operators=20, master_seed=7),
+        small_high(n_operators=12, alpha=1.8, homogeneous=True),
+        large_high(n_operators=15, alpha=1.1, fat_nics=True),
+        small_high(n_operators=10, ops_per_ghz=30.0, fat_nics=True,
+                   homogeneous=True),
+    ], ids=["table1", "homogeneous", "fat-nics", "dense-fat-hom"])
+    def test_make_instance(self, built, config):
+        assert built(lambda: make_instance(config, 2))[0] == 1
+        assert built(lambda: make_instance(config, 3)) == (1, 0)
+        assert (make_instance(config, 0).catalog
+                is make_instance(config, 1).catalog)
+
+    def test_dell_catalog_is_shared_and_immutable(self):
+        catalog = dell_catalog()
+        assert catalog is dell_catalog(ops_per_ghz=OPS_PER_GHZ)
+        assert catalog is not dell_catalog(ops_per_ghz=30.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            catalog.ops_per_ghz = 1.0
+        with pytest.raises(AttributeError, match="immutable"):
+            catalog.most_expensive = catalog.cheapest
+        with pytest.raises(AttributeError, match="immutable"):
+            del catalog.fastest
+        assert catalog.ops_per_ghz == OPS_PER_GHZ

@@ -15,7 +15,7 @@ from repro.experiments.runner import (
     InstanceOutcome,
     SweepResult,
 )
-from repro.experiments.config import small_high
+from repro.methodology import small_high
 
 
 def tiny_sweep():

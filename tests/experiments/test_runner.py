@@ -7,8 +7,7 @@ import math
 import pytest
 
 from repro.api import SweepRequest, request_to_wire, solve, solve_many
-from repro.experiments.config import small_high
-from repro.experiments.instances import make_instance
+from repro.methodology import make_instance, small_high
 from repro.experiments.runner import (
     CellResult,
     InstanceOutcome,

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import InstanceSpec, SolveRequest, solve
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.instances import make_instance
+from repro.methodology import ExperimentConfig, make_instance
 from repro.platform.catalog import (
     Catalog,
     CpuOption,

@@ -440,6 +440,88 @@ class TestCrossShardPreemption:
         assert payload["failure"]["detail"]["shards"] == 2
 
 
+class TestShardControlBid:
+    """The shard-control routes that carry a ``bid``, and a submit
+    body's ``bid``, refuse a negative or non-finite one with a 400
+    naming it, before the service is touched: nothing is admitted, the
+    victim stays queued and pending, and no preemption, spend or
+    earnings is counted."""
+
+    ROUTES = {
+        "/v1/submit": lambda ticket, bid: {
+            "tenant": "gold", "bid": bid,
+            "request": request_to_wire(solve_req(3, "gold"))},
+        "/v1/shard/quote": lambda ticket, bid: {
+            "tenant": "gold", "bid": bid},
+        "/v1/shard/preempt": lambda ticket, bid: {
+            "ticket": ticket, "by": "gold", "bid": bid},
+        "/v1/shard/charge": lambda ticket, bid: {
+            "tenant": "gold", "bid": bid, "victim": "bronze",
+            "victim_ticket": ticket},
+    }
+    COUNTERS = ("repro_service_preemptions_total",
+                "repro_service_spend_total",
+                "repro_service_earnings_total")
+
+    @pytest.mark.parametrize("bid", [-3, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_bad_bid_is_a_400_that_moves_nothing(self, gated, route, bid):
+        async def observe(server, ticket):
+            _, record = await server.dispatch(
+                "GET", f"/v1/result/{ticket}", b""
+            )
+            _, stats = await server.dispatch("GET", "/stats", b"")
+            del stats["service"]["uptime_s"]
+            counters = {
+                family["name"]: family["children"]
+                for family in server.service.metrics.export()
+                if family["name"] in self.COUNTERS
+            }
+            return (server.service.queued, record["status"], counters,
+                    scrub(stats))
+
+        async def main():
+            server = ServiceHTTPServer(AllocationService(
+                tenants=(
+                    TenantConfig("gold", tier="gold", budget=100.0,
+                                 admission_price=1.0),
+                    TenantConfig("bronze", tier="bronze"),
+                ),
+                auto_register=False, max_in_flight=1, max_queue_depth=8,
+            ))
+            await server.service.start()
+            try:
+                status, _ = await server.dispatch(
+                    "POST", "/v1/submit?mode=async",
+                    submit_raw(solve_req(1, "block"), "bronze"),
+                )
+                assert status == 202
+                await _spin_until(gated.started.is_set)
+                status, victim = await server.dispatch(
+                    "POST", "/v1/submit?mode=async",
+                    submit_raw(solve_req(2, "victim"), "bronze"),
+                )
+                assert status == 202, victim
+                before = await observe(server, victim["ticket"])
+                body = self.ROUTES[route](victim["ticket"], bid)
+                response = await server.dispatch(
+                    "POST", route, json.dumps(body).encode()
+                )
+                after = await observe(server, victim["ticket"])
+                gated.gate.set()
+                return response, before, after
+            finally:
+                gated.gate.set()
+                await server.aclose()
+
+        (status, payload), before, after = run(main())
+        assert status == 400, payload
+        assert "bid" in payload["error"]
+        assert before[:2] == (1, "pending")
+        assert after == before
+
+
 # ----------------------------------------------------------------------
 # ticket routing across a router restart
 # ----------------------------------------------------------------------
